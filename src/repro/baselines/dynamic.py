@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.masks import channel_mask as make_channel_mask
+from ..core.masks import channel_mask as make_channel_mask, reserved_count
 from ..core.pruning import pooled_keep_fraction
 from ..models.base import PrunableModel, PruningPoint
 from ..nn import Linear, Module, Sequential
@@ -74,6 +74,13 @@ class FBSGate(Module):
 
     ``prune_ratio`` follows the same Eq. 3 arithmetic as AntiDote so FLOPs
     comparisons are apples-to-apples.
+
+    The gate scales what the next convolution and its BatchNorm see.  While
+    gates and weights adapt jointly, the BatchNorm running statistics lag
+    the gate: the predictor keeps moving and the pre-BN variance keeps
+    growing.  Eval-mode accuracy therefore needs an adaptation budget like
+    the dynamic-methods benchmark's 8 epochs; after a few joint steps the
+    training loss can fall while eval mode still scores at chance.
     """
 
     def __init__(
@@ -141,8 +148,14 @@ class FBSGate(Module):
             pooled_keep_fraction(self.last_spatial_mask, self.pool_between) * n
         )
         gated = F.apply_mask(saliency, mask.astype(x.dtype))
-        # Normalize kept saliencies to mean 1 so activation scale is stable.
-        denom = gated.mean(axis=1, keepdims=True) + 1e-6
+        # Kept boosts average 1 for each sample: suppressed channels are
+        # exactly zero, so the sum over C is the sum over the k kept
+        # channels, and it is divided by k, not C.  The int divisor and the
+        # input-dtype epsilon keep a float32 gate in float32 (a Python
+        # float operand would become a float64 array and promote it).
+        kept = reserved_count(c, self.prune_ratio)
+        eps = np.asarray(1e-6, dtype=x.dtype)
+        denom = gated.sum(axis=1, keepdims=True) / kept + eps
         gated = gated / denom
         return x * gated.reshape(n, c, 1, 1)
 

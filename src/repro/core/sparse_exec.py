@@ -93,7 +93,12 @@ from ..nn import (
     Sequential,
 )
 from ..nn import functional as F
-from .masks import group_by_kept_count, output_grid_mask, quantize_kept_count
+from .masks import (
+    group_by_kept_count,
+    output_grid_mask,
+    quantize_kept_count,
+    reserved_count,
+)
 from .pruning import DynamicPruning, pooled_keep_fraction
 from .workspace import ArenaPool, WorkspaceArena
 
@@ -1467,11 +1472,13 @@ class _GateOp:
 
     Reproduces the gate's eval-time forward on raw arrays — GAP squeeze,
     linear saliency predictor, ReLU, deterministic-tie top-k mask, and the
-    mean-1 renormalized boosting of kept channels — then arms the next
-    convolution with the binary mask, so suppressed channels are actually
-    *skipped* instead of multiplied by zero.  Gate statistics are not
-    updated (deployment runs must not pollute training-side accounting).
-    FBS is a fixed-ratio top-k method, so its masks are never ragged.
+    boosting of kept channels, renormalized so the k kept boosts average 1
+    for each sample — then arms the next convolution with the binary mask,
+    so suppressed channels are actually *skipped* instead of multiplied by
+    zero.  Like the module, the output keeps the input's dtype.  Gate
+    statistics are not updated (deployment runs must not pollute
+    training-side accounting).  FBS is a fixed-ratio top-k method, so its
+    masks are never ragged.
     """
 
     __slots__ = ("layer",)
@@ -1495,7 +1502,8 @@ class _GateOp:
         tie_break = np.arange(c, dtype=saliency.dtype) * 1e-9
         mask = make_channel_mask(saliency + tie_break, layer.prune_ratio)
         gated = saliency * mask
-        denom = gated.mean(axis=1, keepdims=True) + 1e-6
+        kept = reserved_count(c, layer.prune_ratio)
+        denom = gated.sum(axis=1, keepdims=True) / kept + 1e-6
         gated = gated / denom
         state.channel = mask
         return x * gated[:, :, None, None]
