@@ -42,12 +42,13 @@ same operand values, shapes, and strides as the baseline:
   GEMM) rather than excluded structurally.
 
 *Spatial-mask* sites get their own candidate family — the per-position
-gather baseline, kept-position-bucketed ``ragged_spatial`` at several
-quanta, and dense-plus-zeroing.  Cross-strategy bitwise equality is
-impossible here (a padded-width bucket GEMM blocks differently from an
-exact-width one), so spatial candidates are verified on three axes
-instead: ``allclose`` against the per-position baseline at kept
-positions, *exactly zero* at dropped positions, and per-request
+gather oracle, kept-position-bucketed ``ragged_spatial`` (the untuned
+plan's choice) at several quanta, and dense-plus-zeroing.
+Cross-strategy bitwise equality is impossible here (a padded-width
+bucket GEMM blocks differently from an exact-width one), so spatial
+candidates are verified on three axes instead: ``allclose`` against the
+per-position oracle at kept positions, *exactly zero* at dropped
+positions, and per-request
 **bit-identity** (the batched output ``array_equal`` the concatenation
 of single-sample runs of the same candidate — the invariant serving
 relies on).
@@ -124,7 +125,7 @@ GEOMETRY_FIELDS = (
 
 #: Strategies a dispatch entry may name.  The last two are spatial-mask
 #: strategies (kept-position bucketing and the per-sample gather
-#: baseline); entries carrying them are only ever looked up for
+#: oracle); entries carrying them are only ever looked up for
 #: geometries whose ``kind`` has a spatial suffix.
 STRATEGIES = ("grouped", "stacked", "ragged", "dense", "ragged_spatial", "per_position")
 
@@ -440,14 +441,17 @@ def _classify(
         return kind, kept, label
     if ragged:
         return kind + "+spr", kept, "ragged_spatial"
+    # Non-adaptive spatial masks run the bucketed kernel too; only the
+    # pre-ragged dispatch sends them to the per-sample gather loop.
+    spatial_label = "per_position" if config.ragged_mode == "never" else "ragged_spatial"
     sp_counts = spatial.reshape(spatial.shape[0], -1).sum(axis=1)
     smn, smx = int(sp_counts.min()), int(sp_counts.max())
     if smn != smx:
-        return kind + "+spx", kept, "per_position"
+        return kind + "+spx", kept, spatial_label
     keep2d = output_keep_grid(np.asarray(spatial, dtype=bool), op.stride, oh, ow)
     if 1.0 - float(keep2d.mean()) < config.dense_threshold:
         return kind + f"+sp{smn}", kept, "dense"
-    return kind + f"+sp{smn}", kept, "per_position"
+    return kind + f"+sp{smn}", kept, spatial_label
 
 
 def _tile_variants(base: int) -> List[int]:
@@ -553,7 +557,7 @@ def tune_plan(
         oracle: Optional[np.ndarray] = None
 
         if spatial is not None:
-            # Spatial family: the per-sample gather baseline, kept-position
+            # Spatial family: the per-sample gather oracle, kept-position
             # bucketing at several quanta, and dense-plus-zeroing.  No two
             # of these are bitwise interchangeable (GEMM width changes the
             # blocking), so verification is allclose-at-kept + exact-zero-

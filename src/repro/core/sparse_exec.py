@@ -20,20 +20,25 @@ engine that realizes those savings on CPU, at batch scale:
   executes batched instead of one sample at a time, while staying
   bit-identical to per-request execution.
 * **Ragged spatial bucketing** (:func:`_ragged_spatial_conv`): the same
-  treatment for kept *positions*.  Samples are bucketed by their quantized
-  kept-position count on the conv's output grid, each bucket gathers its
-  kept columns out of one strided ``im2col_t`` view
-  (:func:`repro.nn.functional.gather_columns_t`) — padding slots re-gather
-  position 0 — and runs one padded batched GEMM; padded slots are simply
-  discarded on scatter-back, so kept positions are bit-identical to
-  per-request execution by construction and dropped positions stay exactly
-  zero (the paper's Sec. III-B skip semantics).  This replaces the last
-  per-sample GEMM loop (the ``per_position`` path, kept as the measured
-  baseline strategy).
+  treatment for kept *positions*, and the kernel every spatial mask runs
+  by default — fixed top-k column sites (the paper's Table I ResNet-56
+  setting) as well as adaptive ones.  Samples are grouped by exact
+  kept-channel count, each group's padded channels-last input and
+  per-sample weight stack are gathered once, and samples are bucketed by
+  their quantized kept-position count on the conv's output grid; each
+  bucket gathers only its kept patches
+  (:func:`repro.nn.functional.gather_patches_nhwc`) — padding slots
+  re-gather position 0 — and runs one batched GEMM, every sample with its
+  own weight slice.  Padded slots are discarded on scatter-back, so kept
+  positions are bit-identical to per-request execution by construction
+  and dropped positions stay exactly zero (the paper's Sec. III-B skip
+  semantics).  The per-sample gather + GEMM loop (``per_position``) is
+  kept only as the oracle: the tuner's verification reference and the
+  ``PlanConfig(ragged_mode="never")`` fallback.
 * **Weight-slice caching** (:class:`WeightSliceCache`): gathering the kept
-  columns of a filter bank is pure memory traffic; slices are cached across
-  layers *and* calls keyed by ``(layer, mask signature)``, so steady-state
-  traffic with recurring masks pays the gather once.
+  columns of a filter bank is pure memory traffic; the channel paths cache
+  slices across layers *and* calls keyed by ``(layer, mask signature)``,
+  so steady-state traffic with recurring masks pays the gather once.
 * **Plan compilation** (:class:`ExecutionPlan`): the layer graph is walked
   once per model at executor construction — Conv→BN(→ReLU) chains are fused
   into a single op (BN folded into the conv weights at eval time), output
@@ -230,23 +235,17 @@ class WeightSliceCache:
         weight: np.ndarray,
         kept: np.ndarray,
         pad_to: Optional[int] = None,
-        layout: str = "nchw",
     ) -> np.ndarray:
         """Return the cached ``(out_c, kept*k*k)`` slice, gathering on miss.
 
-        ``pad_to`` (the ragged path's bucket width) pads the kept axis with
-        zero columns up to ``pad_to`` channels, so the slice drops into a
-        fixed-shape bucket GEMM; padded and unpadded slices for the same
-        signature are distinct cache entries.
-
-        ``layout`` selects the flattened ``K`` ordering: ``"nchw"``
-        (default, ``(c, ky, kx)`` — matches :func:`im2col_t` columns) or
-        ``"nhwc"`` (``(ky, kx, c)`` — matches
-        :func:`repro.nn.functional.gather_patches_nhwc` patch rows, the
-        ragged spatial path's operand).  Distinct layouts are distinct
+        The flattened ``K`` ordering is ``(c, ky, kx)``, matching
+        :func:`im2col_t` columns.  ``pad_to`` (the ragged path's bucket
+        width) pads the kept axis with zero columns up to ``pad_to``
+        channels, so the slice drops into a fixed-shape bucket GEMM;
+        padded and unpadded slices for the same signature are distinct
         cache entries.
         """
-        full_key = (key, signature, pad_to, layout)
+        full_key = (key, signature, pad_to)
         with self._lock:
             cached = self._store.get(full_key)
             if cached is not None:
@@ -257,13 +256,8 @@ class WeightSliceCache:
         # duplicate gather from a racing worker is wasted work, not a
         # correctness problem (both produce the same slice).
         out_c = weight.shape[0]
-        gathered = weight[:, kept]
-        if layout == "nhwc":
-            gathered = gathered.transpose(0, 2, 3, 1)
-        w_sub = _ensure_contiguous(gathered.reshape(out_c, -1))
+        w_sub = _ensure_contiguous(weight[:, kept].reshape(out_c, -1))
         if pad_to is not None and pad_to > kept.size:
-            if layout == "nhwc":
-                raise ValueError("pad_to is a channel-axis pad; nhwc layout does not support it")
             taps = weight.shape[2] * weight.shape[3]
             padded = np.zeros((out_c, pad_to * taps), dtype=weight.dtype)
             padded[:, : w_sub.shape[1]] = w_sub
@@ -485,28 +479,28 @@ def _ragged_spatial_conv(
     channel_mask: Optional[np.ndarray],
     *,
     kept_quantum: int,
-    cache: Optional[WeightSliceCache],
-    cache_key: Optional[object],
     arena: Optional[WorkspaceArena],
     oh: int,
     ow: int,
-    tile_rows: Optional[int] = None,
 ) -> np.ndarray:
-    """Column skipping for *ragged* spatial masks: one padded GEMM per bucket.
+    """Column skipping: one batched GEMM per kept-position bucket.
 
-    The per-position path (`sparse_conv2d`'s historical spatial branch)
-    gathers each sample's kept patches and runs one GEMM per sample — a
-    Python loop whose GEMMs are too small to amortize.  Here, per
-    channel-signature group, the (zero-padded) input is transposed to
-    channels-last ONCE, samples are bucketed by their kept-position count
+    The default kernel for every spatial mask, fixed top-k and adaptive
+    alike.  Samples are grouped by their exact kept-*channel* count (a
+    top-k channel mask keeps the same count in every sample, so a batch
+    forms one group however its masks differ).  Per group, the
+    zero-padded input is gathered channels-last with each sample's own
+    kept channels, and a per-sample ``(Cout, k*k*kept)`` weight stack is
+    gathered alongside — one vectorized gather each, into arena buffers.
+    Within the group, samples are bucketed by their kept-position count
     on the *output grid* quantized up to an effective quantum
-    (:func:`~repro.core.masks.group_by_kept_count` — the same helper that
-    buckets channels, fed the flattened 2-D mask), and each bucket
-    gathers only its kept columns with
-    :func:`repro.nn.functional.gather_patches_nhwc` into a
-    ``(G, Pq, K)`` slab — contiguous channel runs, traffic proportional
-    to the kept fraction, no full unfold — for one padded batched GEMM
-    against the NHWC-flattened weight matrix.
+    (:func:`~repro.core.masks.group_by_kept_count`); the group's stack is
+    laid out bucket by bucket, so every bucket is a contiguous run of
+    it.  Each bucket gathers only its kept columns with
+    :func:`repro.nn.functional.gather_patches_nhwc` into a ``(G, Pq, K)``
+    slab — contiguous channel runs, traffic proportional to the kept
+    fraction, no full unfold — and runs ONE batched GEMM in which every
+    sample multiplies its own weight slice.
 
     Padding slots (slot index >= the sample's true kept count) simply
     re-gather position 0: they produce well-defined garbage that is
@@ -518,14 +512,14 @@ def _ragged_spatial_conv(
     Batch-invariance is by construction, same argument as
     :func:`_ragged_channel_conv`: a sample's bucket width is
     ``quantize_kept_count`` of its *own* kept-position count, its gather
-    order and padded column set depend only on its own mask, and batched
-    3-D GEMM slices compute bitwise the same as the single-sample GEMM
-    over identical operands.  Executing the same sample per-request
-    therefore reproduces its batched output bit for bit.  (Note the K
-    ordering is ``(ky, kx, c)`` here versus ``im2col_t``'s
-    ``(c, ky, kx)`` — a different but fixed summation order, so the path
-    agrees with the per-position baseline to floating-point round-off
-    while remaining exactly reproducible against itself.)
+    orders and weight slice depend only on its own masks, and batched 3-D
+    GEMM slices compute bitwise the same as the single-sample GEMM over
+    identical operands.  Executing the same sample per-request therefore
+    reproduces its batched output bit for bit.  (The K ordering is
+    ``(ky, kx, c)`` here versus ``im2col_t``'s ``(c, ky, kx)`` — a
+    different but fixed summation order, so the kernel agrees with the
+    ``per_position`` oracle to floating-point round-off while remaining
+    exactly reproducible against itself.)
     """
     n, c, h, w = x.shape
     out_c = weight.shape[0]
@@ -542,88 +536,89 @@ def _ragged_spatial_conv(
     # geometry, so it never breaks batch-invariance; tuned entries sweep
     # coarser quanta by passing values above the floor.
     quantum = max(int(kept_quantum), -(-positions // 32))
-    grid = output_keep_grid(spatial_mask, stride, oh, ow)
-    keep_flat = np.asarray(grid).reshape(n, positions)
+    keep_flat = output_keep_grid(spatial_mask, stride, oh, ow).reshape(n, positions)
+    pos_counts = keep_flat.sum(axis=1)
     # Dropped positions must stay exactly zero -> pre-zero the output and
     # only ever write valid slots.
     out = np.zeros((n, out_c, oh, ow), dtype=x.dtype)
     out_flat = out.reshape(n, out_c, positions)
 
     if channel_mask is None:
-        groups: List[Tuple[Optional[bytes], np.ndarray, Optional[np.ndarray]]] = [
-            (None, np.arange(n), None)
-        ]
+        groups = [(c, np.arange(n))]
     else:
-        groups = list(group_by_mask_signature(channel_mask))
+        groups = group_by_kept_count(channel_mask, 1)
 
     hp, wp = h + 2 * padding, w + 2 * padding
-    all_kept = np.arange(c)
-    for signature, idx, kept in groups:
-        if kept is not None and kept.size == 0:
+    # NHWC-flattened weights: K ordering (ky, kx, c), matching the patch
+    # rows gather_patches_nhwc produces.
+    w_nhwc = weight.transpose(0, 2, 3, 1).reshape(out_c, kk, c)
+    for ck, gidx in groups:
+        if ck == 0:
             continue  # every channel dropped -> output stays zero
-        full_channels = kept is None or kept.size == c
-        ck = c if full_channels else int(kept.size)
-        # NHWC-flattened weight matrix: K ordering (ky, kx, c), matching
-        # the patch rows gather_patches_nhwc produces.
-        if cache is not None:
-            # A non-bytes sentinel cannot collide with any packed-bit mask
-            # signature (those are always bytes).
-            sig = signature if signature is not None else "__full__"
-            w_sub = cache.get(
-                cache_key, sig, weight,
-                all_kept if full_channels else kept, layout="nhwc",
-            )
+        buckets = [
+            (count, gidx[bidx])
+            for count, bidx in group_by_kept_count(keep_flat[gidx], quantum)
+            if count > 0  # all positions dropped -> rows stay zero
+        ]
+        if not buckets:
+            continue
+        # The group's samples in bucket order: each bucket below is one
+        # contiguous run of the gathered input and weight stacks.
+        sel = buckets[0][1] if len(buckets) == 1 else np.concatenate(
+            [idx for _, idx in buckets]
+        )
+        m = int(sel.size)
+        full_channels = ck == c
+        if full_channels:
+            # Every sample keeps every channel: one shared weight matrix.
+            src = x if m == n and len(buckets) == 1 else x[sel]
+            w_op: np.ndarray = _ensure_contiguous(w_nhwc.reshape(out_c, -1)).T
         else:
-            wk = weight if full_channels else weight[:, kept]
-            w_sub = _ensure_contiguous(wk.transpose(0, 2, 3, 1).reshape(out_c, -1))
-        w_t = w_sub.T  # (K, Cout), zero-copy transB GEMM operand
-
-        # Zero-padded channels-last input for this group, materialized
-        # once: the tap gather then reads contiguous channel runs.  The
-        # halo must be re-zeroed every call (arena buffers are reused).
-        xg_t = _take(arena, "spatial_x", (idx.size, hp, wp, ck), x.dtype)
+            # Each sample's kept channels, ascending (stable: False < True).
+            kept = np.argsort(~channel_mask[sel], axis=1, kind="stable")[:, :ck]
+            src = x[sel[:, None], kept]
+            w_stack = _take(arena, "spatial_w", (m, out_c, kk * ck), weight.dtype)
+            w_stack.reshape(m, out_c, kk, ck)[...] = w_nhwc[:, :, kept].transpose(
+                2, 0, 1, 3
+            )
+            w_op = w_stack.transpose(0, 2, 1)  # (m, K, Cout), zero-copy transB
+        # Zero-padded channels-last input, materialized once per group so
+        # the patch gather reads contiguous channel runs.  The halo must
+        # be re-zeroed every call (arena buffers are reused).
+        xg_t = _take(arena, "spatial_x", (m, hp, wp, ck), x.dtype)
         if padding > 0:
             xg_t[:, :padding, :, :] = 0.0
             xg_t[:, hp - padding:, :, :] = 0.0
             xg_t[:, :, :padding, :] = 0.0
             xg_t[:, :, wp - padding:, :] = 0.0
-        interior = xg_t[:, padding:padding + h, padding:padding + w, :]
-        whole = idx.size == n
-        if whole and full_channels:
-            src = x
-        else:
-            src = x[idx] if full_channels else x[np.ix_(idx, kept)]
-        interior[...] = np.moveaxis(src, 1, 3)
+        xg_t[:, padding:padding + h, padding:padding + w, :] = np.moveaxis(src, 1, 3)
 
-        rows_keep = keep_flat[idx]
-        counts = rows_keep.sum(axis=1).astype(np.int64)
-        for bucket_count, bidx in group_by_kept_count(rows_keep, quantum):
-            if bucket_count == 0:
-                continue  # all positions dropped -> rows stay zero
-            g = int(bidx.size)
+        start = 0
+        for bucket_count, idx in buckets:
+            g = int(idx.size)
+            stop = start + g
+            rows_keep = keep_flat[idx]
             # Per-sample padded column order: kept positions ascending, the
             # quantization tail re-gathering position 0 (discarded below).
             order = np.ascontiguousarray(
-                np.argsort(~rows_keep[bidx], axis=1, kind="stable")[:, :bucket_count]
+                np.argsort(~rows_keep, axis=1, kind="stable")[:, :bucket_count]
             )
-            pad = np.arange(bucket_count)[None, :] >= counts[bidx][:, None]
-            if pad.any():
-                order[pad] = 0
+            valid = np.arange(bucket_count)[None, :] < pos_counts[idx][:, None]
+            order[~valid] = 0
             sub = F.gather_patches_nhwc(
                 xg_t, k, stride, ow, order,
-                out=_take(
-                    arena, "spatial_col", (g, bucket_count, ck * kk), x.dtype
-                ),
-                rows=bidx,
+                out=_take(arena, "spatial_col", (g, bucket_count, ck * kk), x.dtype),
+                rows=np.arange(start, stop),
             )
             dst = _take(arena, "spatial_gemm", (g, bucket_count, out_c), x.dtype)
-            # One batched GEMM: (G, Pq, K) against the shared (K, Cout).
-            _matmul_into(sub, w_t, dst)
+            # One batched GEMM: (G, Pq, K) against each sample's (K, Cout).
+            _matmul_into(sub, w_op if full_channels else w_op[start:stop], dst)
             if bias is not None:
                 dst += bias
             # Scatter valid slots only; padded slots are dropped here.
-            rs, ss = np.nonzero(~pad)
-            out_flat[idx[bidx[rs]], :, order[rs, ss]] = dst[rs, ss, :]
+            rs, ss = np.nonzero(valid)
+            out_flat[idx[rs], :, order[rs, ss]] = dst[rs, ss, :]
+            start = stop
     return out
 
 
@@ -668,9 +663,12 @@ def sparse_conv2d(
         to the output grid.  For kept positions to agree exactly with the
         dense masked convolution the input must already have its dropped
         columns zeroed (receptive fields overlap columns; the executors
-        apply the mask before calling).
+        apply the mask before calling).  Every spatial mask runs the
+        kept-position bucketed kernel (:func:`_ragged_spatial_conv`)
+        unless ``strategy="per_position"`` asks for the oracle.
     cache / cache_key:
-        Optional :class:`WeightSliceCache` for the gathered weight slices.
+        Optional :class:`WeightSliceCache` for the gathered weight slices
+        of the channel paths (the spatial kernel gathers its own).
         ``cache_key`` is required with ``cache`` and must be stable and
         unique per weight tensor (the executors pass their op identity);
         ``id(weight)`` is unsafe — ids are reused after garbage collection.
@@ -679,10 +677,10 @@ def sparse_conv2d(
         each sample's output does not depend on which other samples share
         the batch (see :attr:`PlanConfig.batch_invariant`).  The channel
         paths are batch-invariant unconditionally since the kernel-layer
-        rewrite, and the ragged-spatial path is batch-invariant by
-        construction (a sample's bucket width, gather order and GEMM
-        slice depend only on its own mask) — the flag only steers the
-        per-position baseline's flat-vs-sliced GEMM.
+        rewrite, and the ragged-spatial kernel is batch-invariant by
+        construction (a sample's bucket width, gather orders and GEMM
+        slice depend only on its own masks) — the flag only steers the
+        per-position oracle's flat-vs-sliced GEMM.
     arena:
         Optional :class:`~repro.core.workspace.WorkspaceArena` supplying
         the im2col and GEMM scratch buffers.  Without one, scratch is
@@ -690,15 +688,15 @@ def sparse_conv2d(
         Arenas are single-thread-only; concurrent callers pass their own
         (plans hand out one per thread).
     ragged / kept_quantum:
-        ``ragged=True`` routes masks through kept-count-bucketed
-        execution: channel masks via :func:`_ragged_channel_conv` (samples
-        grouped by kept-*channel* count quantized up to ``kept_quantum``),
-        spatial masks via :func:`_ragged_spatial_conv` (kept-*position*
-        count on the output grid, same quantum).  Each bucket runs one
-        padded batched GEMM.  This is the path for *adaptive*
-        (threshold-mode) masks, whose per-sample kept-counts differ; it
-        applies to every batch composition — including singletons — so
-        results stay bit-identical to per-request execution.
+        ``ragged=True`` routes channel-only masks through
+        :func:`_ragged_channel_conv` (samples grouped by kept-*channel*
+        count quantized up to ``kept_quantum``), one padded batched GEMM
+        per bucket.  This is the path for *adaptive* (threshold-mode)
+        masks, whose per-sample kept-counts differ; it applies to every
+        batch composition — including singletons — so results stay
+        bit-identical to per-request execution.  Spatial masks are
+        bucketed whatever the flag; ``kept_quantum`` is the floor of
+        their kept-*position* quantum.
     strategy:
         Explicit execution-strategy override, set by measured dispatch
         entries (:mod:`repro.core.dispatch`).  ``None`` / ``"auto"``
@@ -708,8 +706,9 @@ def sparse_conv2d(
         batch is ineligible — a bit-identical fallback); ``"ragged"``
         routes onto kept-count bucketing regardless of the ``ragged``
         flag.  Spatial strategies (require a ``spatial_mask``):
-        ``"ragged_spatial"`` forces kept-position bucketing,
-        ``"per_position"`` forces the per-sample gather + GEMM baseline.
+        ``"ragged_spatial"`` names the default kept-position bucketing,
+        ``"per_position"`` forces the per-sample gather + GEMM oracle;
+        a channel strategy with a spatial mask runs the bucketed kernel.
         Every named channel strategy executes the same per-sample GEMM
         operands, so overrides never change results for fixed-kept-count
         masks; the two spatial strategies agree to floating-point
@@ -750,13 +749,10 @@ def sparse_conv2d(
     use_ragged = (
         strategy == "ragged" or (strategy in (None, "auto") and ragged)
     ) and channel_mask is not None and spatial_mask is None
-    # Spatial masks pick between kept-position bucketing and the
-    # per-sample gather baseline; ragged callers (adaptive sites) bucket
-    # by default, fixed top-k spatial masks keep the historical path
-    # unless a tuned entry says otherwise.
-    use_ragged_spatial = spatial_mask is not None and (
-        strategy == "ragged_spatial" or (strategy in (None, "auto") and ragged)
-    )
+    # Every spatial mask runs kept-position bucketing; the per-sample
+    # gather loop is only ever an explicit request (the tuner's oracle,
+    # ``PlanConfig(ragged_mode="never")``).
+    use_ragged_spatial = spatial_mask is not None and strategy != "per_position"
     if n == 0:
         if on_dispatch is not None:
             if spatial_mask is not None:
@@ -769,7 +765,7 @@ def sparse_conv2d(
         raise ValueError("cache_key is required when a WeightSliceCache is passed")
     if use_ragged_spatial:
         # Kept-position bucketing handles the channel mask internally
-        # (signature grouping per channel group, buckets within).
+        # (kept-count groups, position buckets within).
         if on_dispatch is not None:
             on_dispatch("ragged_spatial")
         return _ragged_spatial_conv(
@@ -781,12 +777,9 @@ def sparse_conv2d(
             np.asarray(spatial_mask, dtype=bool),
             None if channel_mask is None else np.asarray(channel_mask, dtype=bool),
             kept_quantum=kept_quantum,
-            cache=cache,
-            cache_key=cache_key,
             arena=arena,
             oh=oh,
             ow=ow,
-            tile_rows=tile_rows,
         )
     if use_ragged:
         # Ragged masks bypass signature grouping entirely: bucket shapes
@@ -871,8 +864,8 @@ def sparse_conv2d(
     # channels (or a spatial mask leaves holes).
     if on_dispatch is not None:
         if spatial_mask is not None:
-            # The per-sample gather + GEMM baseline the spatial ragged
-            # path is measured against.
+            # The per-sample gather + GEMM oracle the bucketed spatial
+            # kernel is verified and measured against.
             on_dispatch("per_position")
         else:
             # "per_input" = the degenerate regime the stacked path exists
@@ -986,18 +979,22 @@ class PlanConfig:
         to be unobservable, so :class:`repro.serve.InferenceSession` turns
         this on.  Since the kernel-layer rewrite the convolution channel
         paths run fixed-shape per-sample GEMM slices unconditionally (the
-        invariant form is also the zero-copy one), so the flag now only
-        steers the spatial-mask path and the classifier head; its CPU cost
+        invariant form is also the zero-copy one) and the default spatial
+        kernel is invariant by construction, so the flag now only steers
+        the ``per_position`` oracle and the classifier head; its CPU cost
         is near zero.
     ragged_mode:
-        When convolutions use kept-count-bucketed (ragged) execution for
-        channel masks.  ``"auto"`` (default) engages it exactly for
-        *adaptive* pruning sites (``mask_mode="threshold"``), whose ragged
-        kept-counts the stacked/grouped paths cannot batch; ``"always"``
-        forces it for every channel mask (the ``adaptive`` engine
-        backend); ``"never"`` preserves the pre-ragged dispatch — adaptive
-        batches then degrade to per-sample signature groups (the slow
-        fallback the benchmark measures against).
+        When convolutions use kept-count-bucketed (ragged) execution.
+        For channel-only masks, ``"auto"`` (default) engages it exactly
+        for *adaptive* pruning sites (``mask_mode="threshold"``), whose
+        ragged kept-counts the stacked/grouped paths cannot batch, and
+        ``"always"`` forces it for every channel mask (the ``adaptive``
+        engine backend).  Spatial masks — fixed top-k and adaptive alike
+        — run kept-position bucketing under both.  ``"never"`` preserves
+        the pre-ragged dispatch: adaptive channel batches degrade to
+        per-sample signature groups and every spatial mask runs the
+        per-sample ``per_position`` gather loop (the slow fallback the
+        benchmark measures against).
     kept_quantum:
         Bucket granularity for ragged execution: per-sample kept-counts
         are quantized up to the next multiple before bucketing.  Larger
@@ -1275,9 +1272,9 @@ class _ConvOp:
                 on_dispatch=on_dispatch,
             )
         else:
-            use_ragged = ragged and (
-                channel_mask is not None or spatial_mask is not None
-            )
+            # ``ragged_mode="never"`` is the pre-ragged dispatch, spatial
+            # masks included: they run the per-sample gather loop.
+            never = spatial_mask is not None and config.ragged_mode == "never"
             out = sparse_conv2d(
                 x,
                 self.weight,
@@ -1290,8 +1287,9 @@ class _ConvOp:
                 cache_key=self.key,
                 batch_invariant=config.batch_invariant,
                 arena=plan.arena,
-                ragged=use_ragged,
+                ragged=ragged,
                 kept_quantum=config.kept_quantum,
+                strategy="per_position" if never else None,
                 on_dispatch=on_dispatch,
             )
         if zero_out is not None:
@@ -1583,7 +1581,7 @@ class ExecutionPlan:
         dense/sparse/ragged counters are updated alongside the
         per-strategy breakdown so existing consumers keep working:
         kept-position bucketing counts as a ragged dispatch, the
-        per-position baseline as a sparse one.
+        per-position oracle as a sparse one.
         """
         with self._dispatch_lock:
             if kind == "dense":

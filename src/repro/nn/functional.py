@@ -393,20 +393,17 @@ def gather_patches_nhwc(
         _check_out(out, shape, xpt.dtype)
     if not xpt.flags.c_contiguous:
         xpt = np.ascontiguousarray(xpt)
-    # One gather per kernel ROW, not per tap: a patch row is
-    # ``kernel * C`` contiguous elements in channels-last layout, so a
-    # sliding window over the flattened ``(Wp * C)`` row axis turns each
-    # gathered run into one long memcpy (k× fewer, k× longer runs than a
-    # per-tap walk).
-    slab = out.reshape(g, pq, kernel, kernel * c)
-    row_view = sliding_window_view(
-        xpt.reshape(n, hp, wp * c), kernel * c, axis=2
+    # One gather for the whole patch: a patch row is ``kernel * C``
+    # contiguous elements in channels-last layout, so a 2-D sliding
+    # window over the flattened ``(Hp, Wp * C)`` plane makes every patch
+    # one ``(kernel, kernel * C)`` item — k long memcpy runs per gathered
+    # position, with the per-item indexing overhead paid once, not k times.
+    patch_view = sliding_window_view(
+        xpt.reshape(n, hp, wp * c), (kernel, kernel * c), axis=(1, 2)
     )
     ys = (positions // out_w) * stride
     xcol = (positions % out_w) * (stride * c)
-    r = rows[:, None]
-    for ky in range(kernel):
-        slab[:, :, ky, :] = row_view[r, ys + ky, xcol]
+    out.reshape(g, pq, kernel, kernel * c)[...] = patch_view[rows[:, None], ys, xcol]
     return out
 
 

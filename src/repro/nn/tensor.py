@@ -80,6 +80,10 @@ def as_tensor(value: ArrayLike, dtype=None) -> "Tensor":
     """Coerce ``value`` to a :class:`Tensor` without copying when possible."""
     if isinstance(value, Tensor):
         return value
+    if dtype is None and isinstance(value, (int, float)):
+        # A Python scalar operand takes Tensor's float32 default; as a
+        # float64 0-d array it would promote a float32 graph to float64.
+        return Tensor(value)
     return Tensor(np.asarray(value, dtype=dtype))
 
 
@@ -103,7 +107,17 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
-        if arr.dtype == np.float16 or not np.issubdtype(arr.dtype, np.floating):
+        # Python floats (and sequences of them) carry no precision of their
+        # own, so they take the float32 default; NumPy float64 data keeps
+        # the precision it was given.
+        python_float = arr.dtype == np.float64 and not isinstance(
+            data, (np.ndarray, np.generic)
+        )
+        if (
+            arr.dtype == np.float16
+            or python_float
+            or not np.issubdtype(arr.dtype, np.floating)
+        ):
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None

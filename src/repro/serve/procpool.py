@@ -8,7 +8,9 @@ GIL and BLAS contention, so numpy serving never scales across cores.
 from the same model (or registry artifact ref) and the same
 :class:`~repro.core.sparse_exec.PlanConfig` with ``batch_invariant=True``
 forced — so every process is a bit-identical replica and which process
-answered a request is unobservable in the response.
+answered a request is unobservable in the response.  Unless the user
+sized the BLAS thread pools, each worker starts with its share of the
+cores as its BLAS thread count, so N workers do not oversubscribe them.
 
 Transport is a preallocated :mod:`multiprocessing.shared_memory` slot
 ring, in the same spirit as the kernel layer's
@@ -72,6 +74,33 @@ class ProcPoolClosed(RuntimeError):
 # ----------------------------------------------------------------------
 # Worker process side
 # ----------------------------------------------------------------------
+#: Environment variables that size a BLAS library's thread pool.  A
+#: spawned worker reads them once, when its BLAS library loads.
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: Serializes the environment swap around a worker start: the pool's
+#: constructor and its collector's respawns may start workers at once.
+_SPAWN_ENV_LOCK = threading.Lock()
+
+
+def _blas_thread_budget(proc_workers: int) -> Optional[int]:
+    """BLAS threads per worker process, or ``None`` if the user chose.
+
+    Unbudgeted, every worker's BLAS starts one thread per core, so N
+    workers oversubscribe the cores N times over.  The budget splits the
+    cores this process may run on evenly across the workers.  Any of
+    :data:`BLAS_THREAD_ENV` already set means the user sized the pools
+    and their value is inherited unchanged.
+    """
+    if any(name in os.environ for name in BLAS_THREAD_ENV):
+        return None
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count() or 1
+    return max(1, cores // proc_workers)
+
+
 def _build_worker_engine(spec: Dict[str, Any]) -> EngineProtocol:
     """Compile this process's engine replica from the shared spec.
 
@@ -142,7 +171,9 @@ def _worker_main(
                 engine.reset_stats()
                 continue
             if kind == "stats":
-                conn.send(("stats", engine.stats()))
+                stats = dict(engine.stats())
+                stats["blas_env"] = {name: os.environ.get(name) for name in BLAS_THREAD_ENV}
+                conn.send(("stats", stats))
                 continue
             # ("req", req_id, slot, shape, dtype[, trace_info]) — the
             # optional sixth element is ``(trace_id, parent_span_id)``
@@ -419,7 +450,17 @@ class ProcPoolEngine(EngineProtocol):
             name=f"procpool-worker-{index}",
             daemon=True,
         )
-        process.start()
+        # The child inherits the environment at start: budget its BLAS
+        # threads there, then restore the parent's environment.
+        with _SPAWN_ENV_LOCK:
+            budget = _blas_thread_budget(self.proc_workers)
+            if budget is not None:
+                os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = str(budget)
+            try:
+                process.start()
+            finally:
+                if budget is not None:
+                    del os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"]
         child_conn.close()
         return _WorkerHandle(index, gen, process, parent_conn)
 

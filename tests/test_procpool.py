@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.runtime_bench import build_conv_stack
 from repro.core.sparse_exec import PlanConfig
+from repro.serve.procpool import BLAS_THREAD_ENV
 from repro.serve import (
     InferenceSession,
     ModelRegistry,
@@ -153,6 +154,49 @@ class TestProcPoolSession:
             np.testing.assert_array_equal(engine(x), local_engine(x))
         finally:
             engine.close()
+
+
+class TestBlasThreadBudget:
+    """Workers split the cores' BLAS threads unless the user sized them."""
+
+    def _worker_blas_env(self, stack_model):
+        engine = create_engine(
+            stack_model, backend="procpool", proc_workers=2, slot_mb=2.0
+        )
+        try:
+            replies = engine.process_stats(timeout=30.0)
+        finally:
+            engine.close()
+        assert set(replies) == {"proc-0", "proc-1"}
+        return [reply["blas_env"] for reply in replies.values()]
+
+    def test_each_worker_gets_its_share_of_the_cores(self, stack_model, monkeypatch):
+        for name in BLAS_THREAD_ENV:
+            monkeypatch.delenv(name, raising=False)
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count() or 1
+        budget = str(max(1, cores // 2))
+        for blas_env in self._worker_blas_env(stack_model):
+            assert blas_env == {
+                "OPENBLAS_NUM_THREADS": budget,
+                "OMP_NUM_THREADS": budget,
+                "MKL_NUM_THREADS": None,
+            }
+        # The parent's own environment is restored after the starts.
+        assert not any(name in os.environ for name in BLAS_THREAD_ENV)
+
+    def test_user_setting_wins(self, stack_model, monkeypatch):
+        for name in BLAS_THREAD_ENV:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        for blas_env in self._worker_blas_env(stack_model):
+            assert blas_env == {
+                "OPENBLAS_NUM_THREADS": None,
+                "OMP_NUM_THREADS": "3",
+                "MKL_NUM_THREADS": None,
+            }
 
 
 class TestProcPoolLifecycle:

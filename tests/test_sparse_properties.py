@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from numpy.lib.stride_tricks import sliding_window_view
+
 from repro.core.sparse_exec import sparse_conv2d
 from repro.nn import Tensor
 from repro.nn import functional as F
@@ -49,6 +51,112 @@ def test_sparse_column_conv_zero_exactly_off_mask(dims, data):
     for i in range(n):
         dropped = ~smask[i]
         np.testing.assert_allclose(out[i][:, dropped], 0.0)
+
+
+@st.composite
+def spatial_cases(draw):
+    """A conv geometry with channel and spatial masks, plus a permutation.
+
+    Channel masks are equal-count top-k (1 kept through all kept), ragged
+    per-sample counts, or absent; spatial masks are top-k, random, all
+    dropped or all kept.
+    """
+    n = draw(st.integers(1, 4))
+    cin = draw(st.integers(1, 6))
+    cout = draw(st.integers(1, 5))
+    kernel = draw(st.sampled_from([1, 3]))
+    stride = draw(st.sampled_from([1, 2]))
+    padding = draw(st.integers(0, 2))
+    low = max(1, kernel - 2 * padding)
+    h = draw(st.integers(low, 9))
+    w = draw(st.integers(low, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    channel_kind = draw(st.sampled_from(["none", "topk", "ragged"]))
+    if channel_kind == "none":
+        cmask = None
+    else:
+        if channel_kind == "topk":
+            counts = [draw(st.integers(1, cin))] * n
+        else:
+            counts = draw(st.lists(st.integers(1, cin), min_size=n, max_size=n))
+        cmask = np.zeros((n, cin), dtype=bool)
+        for i, count in enumerate(counts):
+            cmask[i, rng.choice(cin, size=count, replace=False)] = True
+
+    spatial_kind = draw(st.sampled_from(["topk", "random", "none_kept", "all_kept"]))
+    if spatial_kind == "topk":
+        count = draw(st.integers(1, h * w))
+        smask = np.zeros((n, h * w), dtype=bool)
+        for i in range(n):
+            smask[i, rng.choice(h * w, size=count, replace=False)] = True
+        smask = smask.reshape(n, h, w)
+    elif spatial_kind == "random":
+        smask = rng.random((n, h, w)) < draw(st.floats(0.05, 0.95))
+    else:
+        smask = np.full((n, h, w), spatial_kind == "all_kept")
+
+    x = rng.normal(size=(n, cin, h, w)).astype(np.float32)
+    weight = rng.normal(size=(cout, cin, kernel, kernel)).astype(np.float32)
+    bias = rng.normal(size=cout).astype(np.float32)
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    return x, weight, bias, stride, padding, cmask, smask, perm
+
+
+def _keep_grid(smask, stride, oh, ow):
+    """Output position (y, x) is kept iff input (y*stride, x*stride) is."""
+    n, h, w = smask.shape
+    keep = np.zeros((n, oh, ow), dtype=bool)
+    for y in range(oh):
+        for x in range(ow):
+            if y * stride < h and x * stride < w:
+                keep[:, y, x] = smask[:, y * stride, x * stride]
+    return keep
+
+
+def _masked_reference(x, weight, bias, stride, padding, cmask, smask):
+    """The paper's semantics in float64: dense conv of the masked input,
+    dropped output positions zero."""
+    xm = x.astype(np.float64) * smask[:, None]
+    if cmask is not None:
+        xm = xm * cmask[:, :, None, None]
+    k = weight.shape[2]
+    xp = np.pad(xm, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (xp.shape[2] - k) // stride + 1
+    ow = (xp.shape[3] - k) // stride + 1
+    windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    out = np.einsum("nchwij,ocij->nohw", windows[:, :, :oh, :ow], weight.astype(np.float64))
+    out += bias.astype(np.float64)[None, :, None, None]
+    return out * _keep_grid(smask, stride, oh, ow)[:, None]
+
+
+@given(spatial_cases())
+@settings(max_examples=150, deadline=None)
+def test_spatial_default_dispatch_contract(case):
+    # The default spatial kernel: bit-identical to per-request execution
+    # and to its own permuted run, within round-off of the per-position
+    # oracle and of the float64 masked reference, exactly zero at
+    # dropped positions.
+    x, weight, bias, stride, padding, cmask, smask, perm = case
+    xin = x * smask[:, None]  # executors zero dropped columns first
+
+    def run(rows, **kw):
+        cm = None if cmask is None else cmask[rows]
+        return sparse_conv2d(xin[rows], weight, bias, stride, padding, cm, smask[rows], **kw)
+
+    every = np.arange(x.shape[0])
+    out = run(every)
+    solo = np.concatenate([run(every[i : i + 1]) for i in every])
+    np.testing.assert_array_equal(out, solo)
+    np.testing.assert_array_equal(run(perm), out[perm])
+
+    oracle = run(every, strategy="per_position")
+    np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-5)
+    reference = _masked_reference(x, weight, bias, stride, padding, cmask, smask)
+    np.testing.assert_allclose(out, reference, rtol=1e-4, atol=1e-4)
+
+    dropped = ~_keep_grid(smask, stride, out.shape[2], out.shape[3])
+    assert not out.transpose(0, 2, 3, 1)[dropped].any()
 
 
 @given(conv_inputs(), st.data())

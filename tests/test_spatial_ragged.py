@@ -350,6 +350,39 @@ class TestSpatialTuner:
         # the channel quantum sweep ran alongside the spatial family
         assert any(label.startswith("ragged@q") for label in channel_labels)
 
+    @pytest.mark.parametrize(
+        "mode, label", [("auto", "ragged_spatial"), ("never", "per_position")]
+    )
+    def test_topk_column_baseline_names_untuned_strategy(self, rng, mode, label):
+        # Fixed top-k column sites: the tuner's baseline is the strategy
+        # the untuned plan runs — the bucketed kernel, or the per-sample
+        # gather loop only under the pre-ragged dispatch.
+        stack = build_conv_stack(0.4, spatial_ratio=0.5, width=8, depth=3, seed=0)
+        config = PlanConfig(
+            batch_invariant=True, dense_threshold=0.0, ragged_mode=mode
+        )
+        calibration = rng.normal(size=(4, 3, 12, 12)).astype(np.float32)
+        untuned = create_engine(stack, backend="sparse", config=config)
+        untuned(calibration)
+        assert untuned.stats()["dispatch"][label] > 0
+        tuned = create_engine(
+            stack,
+            backend="sparse",
+            config=config,
+            tuned=True,
+            calibration=calibration,
+            tune_repeats=1,
+        )
+        report = tuned.tune_report
+        assert report.rejected_total == 0
+        spatial_sites = [
+            r for r in report.reports if str(r.geometry[7]).startswith("topk+sp")
+        ]
+        assert spatial_sites
+        for site in spatial_sites:
+            assert site.baseline_label == label
+            assert site.baseline_ms == site.measured_ms[label]
+
     def test_manifest_roundtrip_spatial_strategies(self):
         table = DispatchTable()
         geo_a = (16, 16, 3, 1, 1, 16, 16, "none+spr", -1, "float32")

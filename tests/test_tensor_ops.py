@@ -17,6 +17,20 @@ class TestConstruction:
         t = Tensor(np.zeros(3, dtype=np.float64))
         assert t.dtype == np.float64
 
+    def test_python_floats_become_float32(self):
+        assert Tensor(0.5).dtype == np.float32
+        assert Tensor([1.0, 2.0]).dtype == np.float32
+        assert as_tensor(1e-6).dtype == np.float32
+
+    def test_python_float_operand_keeps_graph_float32(self):
+        x = Tensor(np.ones(2, np.float32))
+        assert (x + 1e-6).dtype == np.float32
+        assert (0.5 * x).dtype == np.float32
+        assert (x / 3.0).dtype == np.float32
+
+    def test_float64_scalar_preserved(self):
+        assert Tensor(np.float64(2.0)).dtype == np.float64
+
     def test_from_tensor_shares_data(self):
         a = Tensor([1.0, 2.0])
         b = Tensor(a)
