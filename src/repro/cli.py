@@ -17,8 +17,6 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli serve --cascade --registry artifacts --family demo --calibrate 64 --synthetic 32
     python -m repro.cli bench-serve --output BENCH_serve.json --workers 1,2
     python -m repro.cli bench-cascade --smoke
-    python -m repro.cli tune-dispatch --registry artifacts --model vgg-demo
-    python -m repro.cli bench-dispatch --smoke
 
 Every subcommand trains at harness scale (slim models, synthetic data) and
 prints paper-reported vs measured numbers; see EXPERIMENTS.md for how to
@@ -481,9 +479,7 @@ def cmd_registry(args: argparse.Namespace) -> int:
 
     registry = ModelRegistry(args.registry)
     if args.action == "ls":
-        rows = registry.list_artifacts(
-            family=args.family, include_dispatch=args.profile
-        )
+        rows = registry.list_artifacts(family=args.family)
         if args.json:
             import json as _json
 
@@ -504,20 +500,6 @@ def cmd_registry(args: argparse.Namespace) -> int:
                   f"{('%.2f' % sparsity) if sparsity is not None else '-':>5} "
                   f"{row['pruning_sites']:>5} "
                   f"{size_kb:>8.1f}K {sha:>10}  {row['created_at']}")
-            if args.profile and row.get("dispatch_entries"):
-                # The persisted per-geometry measurements the tuner baked
-                # into this artifact — the stored half of the profiling
-                # story (live half: ``bench-* --profile``).
-                for entry in row["dispatch_entries"]:
-                    geo = entry["geometry"]
-                    label = entry["strategy"]
-                    if entry.get("tile_rows"):
-                        label += f"@tile{entry['tile_rows']}"
-                    print(f"    {geo['in_c']}→{geo['out_c']} k{geo['kernel']} "
-                          f"{geo['h']}x{geo['w']} {geo['kind']}/{geo['kept']}: "
-                          f"{label} {entry['winner_ms']:.3f}ms "
-                          f"(baseline {entry['baseline_ms']:.3f}ms, "
-                          f"sites={entry['sites']})")
         print(f"\n{len(rows)} artifact version(s) in {args.registry}")
         return 0
     if args.action == "rm":
@@ -791,211 +773,6 @@ def cmd_bench_adaptive(args: argparse.Namespace) -> int:
             print("PERF REGRESSION: ragged-spatial path fell below "
                   f"{sp_summary['ragged_regression_slack']:.0%} of the "
                   "per-position path's throughput")
-            return 1
-    return 0
-
-
-def _print_tune_report(report) -> None:
-    print(f"{report.sites} conv sites -> {report.unique_geometries} unique "
-          f"geometries ({report.duplicates_skipped} duplicates skipped, "
-          f"{report.skipped_untunable} untunable)")
-    print(f"{'geometry':<42} {'sites':>5} {'baseline':>16} {'winner':>16} "
-          f"{'speedup':>8}")
-    for site in report.reports:
-        in_c, out_c, kernel, stride, _, h, w, kind, kept, _ = site.geometry
-        geo = f"{in_c}->{out_c} k{kernel}s{stride} {h}x{w} {kind}"
-        if kept >= 0:
-            geo += f" kept={kept}"
-        entry = site.entry
-        winner = entry.strategy
-        if entry.kept_quantum != 1:
-            winner += f" q{entry.kept_quantum}"
-        if entry.tile_rows is not None:
-            winner += f" tile{entry.tile_rows}"
-        speedup = site.baseline_ms / entry.winner_ms if entry.winner_ms else 1.0
-        print(f"{geo:<42} {site.sites:>5} "
-              f"{site.baseline_label + ' %.3fms' % site.baseline_ms:>16} "
-              f"{winner + ' %.3fms' % entry.winner_ms:>16} {speedup:>7.2f}x")
-        if site.rejected:
-            print(f"{'':<42} rejected (not bit-identical): "
-                  f"{', '.join(site.rejected)}")
-
-
-def cmd_tune_dispatch(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .core.engine import create_engine
-    from .core.runtime_bench import build_conv_stack
-    from .core.sparse_exec import PlanConfig
-    from .serve import ArtifactNotFoundError, ModelRegistry, parse_ref
-    from .serve.bench import DISPATCH_REGRESSION_SLACK
-
-    if bool(args.registry) != bool(args.model):
-        print("--registry and --model must be given together")
-        return 2
-
-    calibration = np.random.default_rng(args.seed + 7).normal(
-        size=(args.calibration_batch, 3, args.image_size, args.image_size)
-    ).astype(np.float32)
-
-    if args.registry:
-        registry = ModelRegistry(args.registry)
-        try:
-            name, version = parse_ref(args.model)
-        except ValueError as error:
-            print(error)
-            return 2
-        try:
-            artifact = registry.load(name, version)
-        except ArtifactNotFoundError as error:
-            print(f"artifact not found: {error.args[0]}")
-            return 2
-        subject = artifact.handle if artifact.handle is not None else artifact.model
-        print(f"tuning {artifact.name}@v{artifact.version} "
-              f"({args.calibration_batch}x3x{args.image_size}x{args.image_size} "
-              f"calibration, best of {args.repeats})...")
-        try:
-            engine = create_engine(
-                subject,
-                backend="sparse",
-                config=artifact.plan_config,
-                tuned=True,
-                calibration=calibration,
-                tune_repeats=args.repeats,
-            )
-        except ValueError as error:
-            print(f"calibration forward failed at --image-size "
-                  f"{args.image_size}: {error}")
-            return 2
-        report = engine.tune_report
-        _print_tune_report(report)
-        if args.dry_run:
-            print("dry run: dispatch table not saved")
-        else:
-            saved_name, saved_version = registry.save(
-                artifact.name,
-                subject,
-                arch=artifact.arch,
-                plan=artifact.plan_config,
-                metadata={
-                    **artifact.metadata,
-                    "tuned_from": f"{artifact.name}@v{artifact.version}",
-                    "tuned_geometries": report.unique_geometries,
-                },
-                dispatch=report.table,
-            )
-            print(f"saved tuned artifact {saved_name}@v{saved_version} "
-                  f"to {args.registry}")
-    else:
-        if args.adaptive:
-            from .serve.bench import _mixed_threshold_stack
-
-            print(f"tuning adaptive demo stack (width {args.width}, depth "
-                  f"{args.depth}, alternating channel/spatial threshold "
-                  f"sites, best of {args.repeats})...")
-            stack = _mixed_threshold_stack(
-                args.image_size, args.width, args.depth, args.seed
-            )
-        else:
-            print(f"tuning demo conv stack (width {args.width}, depth {args.depth}, "
-                  f"keep ratio {args.ratio}, best of {args.repeats})...")
-            stack = build_conv_stack(
-                args.ratio, width=args.width, depth=args.depth, seed=args.seed
-            )
-        engine = create_engine(
-            stack,
-            backend="sparse",
-            config=PlanConfig(batch_invariant=True, dense_threshold=0.0),
-            tuned=True,
-            calibration=calibration,
-            tune_repeats=args.repeats,
-        )
-        report = engine.tune_report
-        _print_tune_report(report)
-
-    if args.smoke:
-        if report.rejected_total:
-            print(f"CONTRACT VIOLATION: {report.rejected_total} candidate(s) "
-                  "produced non-identical outputs and were rejected")
-            return 1
-        slow = [
-            site for site in report.reports
-            if site.baseline_ms < site.entry.winner_ms * DISPATCH_REGRESSION_SLACK
-        ]
-        if slow:
-            print(f"PERF REGRESSION: {len(slow)} tuned geometry(ies) measured "
-                  f"slower than the heuristic baseline beyond "
-                  f"{DISPATCH_REGRESSION_SLACK:.0%} slack")
-            return 1
-    return 0
-
-
-def cmd_bench_dispatch(args: argparse.Namespace) -> int:
-    import json as _json
-    import os as _os
-
-    from .serve import run_dispatch_benchmark, write_serve_json
-
-    try:
-        image_sizes = [int(s) for s in str(args.image_size).split(",") if s.strip()]
-        modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    except ValueError:
-        print("invalid --image-size (expected e.g. 16,32)")
-        return 2
-    if not image_sizes or any(s < 4 for s in image_sizes):
-        print(f"invalid --image-size {args.image_size!r} (sizes must be >= 4)")
-        return 2
-    if not modes or any(m not in ("topk", "threshold") for m in modes):
-        print(f"invalid --modes {args.modes!r} (expected topk,threshold)")
-        return 2
-    document = run_dispatch_benchmark(
-        image_sizes=image_sizes,
-        modes=modes,
-        batch_size=args.batch_size,
-        width=args.width,
-        depth=args.depth,
-        repeats=args.repeats,
-        tune_repeats=args.tune_repeats,
-        seed=args.seed,
-        smoke=args.smoke,
-    )
-    # BENCH_sparse.json is shared with bench-sparse: merge the dispatch
-    # block into an existing document rather than clobbering its results.
-    merged = None
-    if _os.path.exists(args.output):
-        try:
-            with open(args.output, encoding="utf-8") as fh:
-                merged = _json.load(fh)
-        except (OSError, ValueError):
-            merged = None
-    if isinstance(merged, dict) and "results" in merged:
-        merged["dispatch"] = document
-        write_serve_json(merged, args.output)
-    else:
-        write_serve_json(document, args.output)
-
-    print(f"{'mode':>10} {'size':>5} {'default(ms)':>12} {'tuned(ms)':>10} "
-          f"{'speedup':>8} {'sites':>5} {'dedup':>5} {'exact':>6}")
-    for row in document["results"]:
-        print(f"{row['mode']:>10} {row['image_size']:>5} "
-              f"{row['default_ms']:>12.2f} {row['tuned_ms']:>10.2f} "
-              f"{row['speedup']:>7.2f}x {row['tuned_sites']:>5} "
-              f"{row['duplicates_skipped']:>5} {str(row['bit_identical']):>6}")
-    summary = document["summary"]
-    print(f"\nbest tuned speedup: {summary['best_speedup']:.2f}x; "
-          f"tuned >= default everywhere (slack "
-          f"{summary['dispatch_regression_slack']:.0%}): "
-          f"{summary['tuned_not_below_default']}; "
-          f"bit-identical everywhere: {summary['bit_identical_all']}")
-    print(f"recorded {len(document['results'])} measurements to {args.output}")
-    if args.smoke:
-        if not summary["bit_identical_all"]:
-            print("CONTRACT VIOLATION: a tuned dispatch changed model outputs")
-            return 1
-        if not summary["tuned_not_below_default"]:
-            print("PERF REGRESSION: tuned dispatch fell below "
-                  f"{summary['dispatch_regression_slack']:.0%} of the default "
-                  "strategy's throughput")
             return 1
     return 0
 
@@ -1311,71 +1088,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "per-position fallback")
     p_badapt.set_defaults(func=cmd_bench_adaptive)
 
-    p_tune = sub.add_parser(
-        "tune-dispatch",
-        help="measure per-geometry strategy winners and bake a dispatch "
-             "table (optionally into a registry artifact)",
-    )
-    p_tune.add_argument("--registry", default=None,
-                        help="registry root; with --model, tunes that "
-                             "artifact and saves a new version carrying the "
-                             "dispatch table")
-    p_tune.add_argument("--model", default=None,
-                        help="artifact reference to tune (name or name@vN)")
-    p_tune.add_argument("--ratio", type=float, default=0.5,
-                        help="keep ratio for the demo conv stack (no-registry "
-                             "mode)")
-    p_tune.add_argument("--adaptive", action="store_true",
-                        help="no-registry mode: tune a threshold-mode demo "
-                             "stack with alternating channel-adaptive and "
-                             "spatial-adaptive sites, exercising the ragged "
-                             "kept-quantum sweep and the spatial "
-                             "ragged/per-position candidate family")
-    p_tune.add_argument("--width", type=int, default=64)
-    p_tune.add_argument("--depth", type=int, default=4)
-    p_tune.add_argument("--image-size", type=int, default=32,
-                        help="calibration input resolution")
-    p_tune.add_argument("--calibration-batch", type=int, default=8,
-                        help="calibration batch size (per-sample kept-count "
-                             "histogram the tuner sees)")
-    p_tune.add_argument("--repeats", type=int, default=3,
-                        help="best-of-N timing repeats per candidate")
-    p_tune.add_argument("--dry-run", action="store_true",
-                        help="registry mode: print winners without saving a "
-                             "new artifact version")
-    p_tune.add_argument("--smoke", action="store_true",
-                        help="CI smoke: exit 1 if any candidate was rejected "
-                             "for non-identical output or a tuned geometry "
-                             "measured slower than its heuristic baseline")
-    p_tune.set_defaults(func=cmd_tune_dispatch)
-
-    p_bdisp = sub.add_parser(
-        "bench-dispatch",
-        help="tuned-vs-default dispatch sweep; merges a 'dispatch' block "
-             "into BENCH_sparse.json",
-    )
-    p_bdisp.add_argument("--output", default="BENCH_sparse.json",
-                         help="JSON to write; an existing bench-sparse "
-                              "document gains a 'dispatch' block instead of "
-                              "being clobbered")
-    p_bdisp.add_argument("--image-size", default="16,32",
-                         help="comma-separated input resolutions to sweep")
-    p_bdisp.add_argument("--modes", default="topk,threshold",
-                         help="comma-separated mask modes (topk: fixed keep "
-                              "ratio; threshold: calibrated ragged counts)")
-    p_bdisp.add_argument("--batch-size", type=int, default=8)
-    p_bdisp.add_argument("--width", type=int, default=64)
-    p_bdisp.add_argument("--depth", type=int, default=4)
-    p_bdisp.add_argument("--repeats", type=int, default=5,
-                         help="best-of-N timing repeats per engine")
-    p_bdisp.add_argument("--tune-repeats", type=int, default=3,
-                         help="best-of-N repeats inside the tuner")
-    p_bdisp.add_argument("--smoke", action="store_true",
-                         help="CI smoke: single grid point; exit 1 on a "
-                              "bit-identity violation or if tuned throughput "
-                              "falls below the default beyond the slack")
-    p_bdisp.set_defaults(func=cmd_bench_dispatch)
-
     p_bcasc = sub.add_parser(
         "bench-cascade",
         help="confidence-gated cascade vs densest-only serving sweep, "
@@ -1449,9 +1161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_registry.add_argument("--json", action="store_true",
                             help="ls: emit the artifact rows as JSON instead "
                                  "of the human table")
-    p_registry.add_argument("--profile", action="store_true",
-                            help="ls: show each tuned artifact's persisted "
-                                 "per-geometry dispatch measurements")
     p_registry.set_defaults(func=cmd_registry)
 
     for sub_parser in sub.choices.values():

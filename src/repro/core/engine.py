@@ -221,19 +221,7 @@ class DenseEngine(EngineProtocol):
     backend = "dense"
     thread_safe = False
 
-    def __init__(
-        self,
-        model: object,
-        config: Optional[PlanConfig] = None,
-        *,
-        dispatch_table: Optional[object] = None,
-        tuned: bool = False,
-        calibration: Optional[np.ndarray] = None,
-        tune_repeats: int = 3,
-    ):
-        # The tuned-dispatch options are accepted (so ``tuned=True`` works
-        # uniformly across backends) but meaningless here: the dense
-        # forward has no strategy choices to calibrate.
+    def __init__(self, model: object, config: Optional[PlanConfig] = None):
         self.model = _unwrap(model)
         self.calls = 0
 
@@ -274,16 +262,7 @@ class SparseEngine(EngineProtocol):
     backend = "sparse"
     thread_safe = True
 
-    def __init__(
-        self,
-        model: object,
-        config: Optional[PlanConfig] = None,
-        *,
-        dispatch_table: Optional[object] = None,
-        tuned: bool = False,
-        calibration: Optional[np.ndarray] = None,
-        tune_repeats: int = 3,
-    ):
+    def __init__(self, model: object, config: Optional[PlanConfig] = None):
         inner = _unwrap(model)
         if isinstance(inner, ResNet):
             self._executor = SparseResNetExecutor(inner, config)
@@ -291,24 +270,6 @@ class SparseEngine(EngineProtocol):
             self._executor = SparseSequentialExecutor(as_layer_stack(inner), config)
         self.model = inner
         self.plan = self._executor.plan
-        self.tune_report = None
-        if dispatch_table is not None:
-            # A pre-measured table (registry artifact, procpool spawn arg):
-            # attach as-is — no re-measurement, identical dispatch in every
-            # replica.
-            self.plan.dispatch = dispatch_table
-        elif tuned:
-            # Measure here and now: run the calibration batch (synthesized
-            # from the plan's input geometry unless provided) through every
-            # structurally bit-identical candidate and bake the winners in.
-            from .dispatch import synthesize_calibration, tune_plan
-
-            calib = (
-                np.asarray(calibration, dtype=np.float32)
-                if calibration is not None
-                else synthesize_calibration(self.plan)
-            )
-            self.tune_report = tune_plan(self.plan, calib, repeats=tune_repeats)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self._executor(np.asarray(x, dtype=np.float32))
@@ -320,8 +281,6 @@ class SparseEngine(EngineProtocol):
             "sparse_dispatches": self.plan.sparse_dispatches,
             "ragged_dispatches": self.plan.ragged_dispatches,
             "dispatch": dict(self.plan.dispatch_counts),
-            "dispatch_fallbacks": self.plan.dispatch_fallbacks,
-            "tuned_sites": 0 if self.plan.dispatch is None else len(self.plan.dispatch),
             "cache": dict(self.plan.cache_stats),
             "workspace": self.plan.arena_stats(),
         }
@@ -470,13 +429,9 @@ def create_engine(
         :class:`~repro.core.sparse_exec.PlanConfig` compilation knobs,
         honored by plan-backed engines.
     kwargs:
-        Extra backend-specific options (e.g. ``auto_threshold``), plus
-        the measured-dispatch options every plan-backed backend honors:
-        ``tuned=True`` runs the per-geometry calibration pass at build
-        time (:func:`repro.core.dispatch.tune_plan`), ``calibration=``
-        supplies the calibration batch, and ``dispatch_table=`` attaches
-        a pre-measured :class:`repro.core.dispatch.DispatchTable` (from a
-        registry artifact or a pool spawn arg) without re-measuring.
+        Extra backend-specific options (e.g. ``auto_threshold``, or the
+        ``procpool`` backend's ``proc_workers``).  A backend rejects an
+        option it does not know with ``TypeError``.
     """
     try:
         builder = _BACKENDS[backend]

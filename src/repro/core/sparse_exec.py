@@ -33,8 +33,9 @@ engine that realizes those savings on CPU, at batch scale:
   positions are bit-identical to per-request execution by construction
   and dropped positions stay exactly zero (the paper's Sec. III-B skip
   semantics).  The per-sample gather + GEMM loop (``per_position``) is
-  kept only as the oracle: the tuner's verification reference and the
-  ``PlanConfig(ragged_mode="never")`` fallback.
+  kept only as the oracle: tests reach it through
+  ``strategy="per_position"`` and the ``PlanConfig(ragged_mode="never")``
+  fallback runs it.
 * **Weight-slice caching** (:class:`WeightSliceCache`): gathering the kept
   columns of a filter bank is pure memory traffic; the channel paths cache
   slices across layers *and* calls keyed by ``(layer, mask signature)``,
@@ -306,7 +307,6 @@ def _ragged_channel_conv(
     arena: Optional[WorkspaceArena],
     oh: int,
     ow: int,
-    tile_rows: Optional[int] = None,
 ) -> np.ndarray:
     """Channel skipping for *ragged* masks: one padded GEMM per bucket.
 
@@ -358,9 +358,7 @@ def _ragged_channel_conv(
             col = F.im2col_t(
                 xg, k, stride, padding,
                 out=_take(arena, "im2col", (bsz, c * kk, positions), x.dtype),
-                tile_rows=tile_rows
-                if tile_rows is not None
-                else F.default_tile_rows(c, k, ow, x.dtype.itemsize),
+                tile_rows=F.default_tile_rows(c, k, ow, x.dtype.itemsize),
             )
             dst = out_flat if whole else _take(
                 arena, "gemm", (bsz, out_c, positions), x.dtype
@@ -389,9 +387,7 @@ def _ragged_channel_conv(
                 col = F.im2col_t(
                     xg, k, stride, padding,
                     out=_take(arena, "im2col", (csz, cols, positions), x.dtype),
-                    tile_rows=tile_rows
-                    if tile_rows is not None
-                    else F.default_tile_rows(
+                    tile_rows=F.default_tile_rows(
                         bucket_count, k, ow, x.dtype.itemsize
                     ),
                 )
@@ -533,8 +529,8 @@ def _ragged_spatial_conv(
     # quantum scales with the grid — 1/32 of it bounds both the bucket
     # population (<= 32 GEMM shapes) and the padding tax (< ~3% of
     # positions per sample).  The clamp depends only on the static
-    # geometry, so it never breaks batch-invariance; tuned entries sweep
-    # coarser quanta by passing values above the floor.
+    # geometry, so it never breaks batch-invariance; a ``kept_quantum``
+    # above the floor buckets more coarsely.
     quantum = max(int(kept_quantum), -(-positions // 32))
     keep_flat = output_keep_grid(spatial_mask, stride, oh, ow).reshape(n, positions)
     pos_counts = keep_flat.sum(axis=1)
@@ -641,7 +637,6 @@ def sparse_conv2d(
     ragged: bool = False,
     kept_quantum: int = 4,
     strategy: Optional[str] = None,
-    tile_rows: Optional[int] = None,
     on_dispatch: Optional[Callable[[str], None]] = None,
 ) -> np.ndarray:
     """Batched convolution that skips pruned input channels and columns.
@@ -698,28 +693,12 @@ def sparse_conv2d(
         bucketed whatever the flag; ``kept_quantum`` is the floor of
         their kept-*position* quantum.
     strategy:
-        Explicit execution-strategy override, set by measured dispatch
-        entries (:mod:`repro.core.dispatch`).  ``None`` / ``"auto"``
-        keeps the heuristic dispatch.  Channel strategies: ``"grouped"``
-        skips the stacked fast path; ``"stacked"`` forces the stacked
-        path past its position cutoff (falling back to grouped when the
-        batch is ineligible — a bit-identical fallback); ``"ragged"``
-        routes onto kept-count bucketing regardless of the ``ragged``
-        flag.  Spatial strategies (require a ``spatial_mask``):
-        ``"ragged_spatial"`` names the default kept-position bucketing,
-        ``"per_position"`` forces the per-sample gather + GEMM oracle;
-        a channel strategy with a spatial mask runs the bucketed kernel.
-        Every named channel strategy executes the same per-sample GEMM
-        operands, so overrides never change results for fixed-kept-count
-        masks; the two spatial strategies agree to floating-point
-        round-off at kept positions (BLAS blocks a width-``Pq`` padded
-        GEMM differently from a width-``npos`` exact one) and each is
-        individually bit-identical to its own per-request execution.
-    tile_rows:
-        Explicit im2col tile size for the grouped/ragged paths (pure copy
-        blocking — results are bit-identical at any value).  ``None``
-        uses the memoized L2 heuristic
-        (:func:`repro.nn.functional.default_tile_rows`).
+        ``None`` keeps the heuristic dispatch.  ``"per_position"``
+        (requires a ``spatial_mask``) runs the per-sample gather + GEMM
+        oracle instead of kept-position bucketing.  The two agree to
+        floating-point round-off at kept positions (BLAS blocks a
+        width-``Pq`` padded GEMM differently from a width-``npos`` exact
+        one), and each is bit-identical to its own per-request execution.
     on_dispatch:
         Optional callback receiving the fine-grained path label this call
         actually executed — ``"per_input"`` (signature groups all
@@ -731,28 +710,23 @@ def sparse_conv2d(
     -------
     Output batch ``(N, Cout, OH, OW)``.
     """
-    if strategy not in (
-        None, "auto", "grouped", "stacked", "ragged",
-        "ragged_spatial", "per_position",
-    ):
-        raise ValueError(
-            "strategy must be None, 'auto', 'grouped', 'stacked', 'ragged', "
-            f"'ragged_spatial' or 'per_position', got {strategy!r}"
-        )
-    if strategy in ("ragged_spatial", "per_position") and spatial_mask is None:
-        raise ValueError(f"strategy {strategy!r} requires a spatial_mask")
+    if strategy is not None:
+        if strategy != "per_position":
+            raise ValueError(
+                f"strategy must be None or 'per_position', got {strategy!r}"
+            )
+        if spatial_mask is None:
+            raise ValueError("strategy 'per_position' requires a spatial_mask")
     n, c, h, w = x.shape
     out_c, in_c, k, _ = weight.shape
     if in_c != c:
         raise ValueError(f"weight expects {in_c} input channels, got {c}")
     oh, ow = F.conv_output_shape(h, w, k, stride, padding)
-    use_ragged = (
-        strategy == "ragged" or (strategy in (None, "auto") and ragged)
-    ) and channel_mask is not None and spatial_mask is None
+    use_ragged = ragged and channel_mask is not None and spatial_mask is None
     # Every spatial mask runs kept-position bucketing; the per-sample
-    # gather loop is only ever an explicit request (the tuner's oracle,
+    # gather loop is only ever an explicit request (the oracle in tests,
     # ``PlanConfig(ragged_mode="never")``).
-    use_ragged_spatial = spatial_mask is not None and strategy != "per_position"
+    use_ragged_spatial = spatial_mask is not None and strategy is None
     if n == 0:
         if on_dispatch is not None:
             if spatial_mask is not None:
@@ -800,7 +774,6 @@ def sparse_conv2d(
             arena=arena,
             oh=oh,
             ow=ow,
-            tile_rows=tile_rows,
         )
     if channel_mask is None:
         groups: List[Tuple[Optional[bytes], np.ndarray, Optional[np.ndarray]]] = [
@@ -821,8 +794,7 @@ def sparse_conv2d(
         spatial_mask is None
         and channel_mask is not None
         and len(groups) > 1
-        and strategy != "grouped"
-        and (oh * ow <= STACKED_PATH_MAX_POSITIONS or strategy == "stacked")
+        and oh * ow <= STACKED_PATH_MAX_POSITIONS
     ):
         mask = np.asarray(channel_mask, dtype=bool)
         counts = mask.sum(axis=1)
@@ -901,9 +873,7 @@ def sparse_conv2d(
             col = F.im2col_t(
                 xg, k, stride, padding,
                 out=_take(arena, "im2col", (idx.size, ck * k * k, oh * ow), x.dtype),
-                tile_rows=tile_rows
-                if tile_rows is not None
-                else F.default_tile_rows(ck, k, ow, x.dtype.itemsize),
+                tile_rows=F.default_tile_rows(ck, k, ow, x.dtype.itemsize),
             )
             # (Cout, K) @ (K, OH*OW) per sample: NCHW output order falls
             # out of the GEMM, and a whole-batch group lands in the output
@@ -1100,23 +1070,23 @@ class _ConvOp:
         ragged: bool,
         spatial_mask: Optional[np.ndarray] = None,
     ) -> Tuple:
-        """The canonical dispatch-table key for this call's geometry.
+        """The canonical geometry key for this call.
 
-        The static half (channel dims, kernel, stride, padding) is fixed
-        per op, so the tuple is memoized by the dynamic half ``(H, W,
-        kind, kept, dtype)`` — a hot-path lookup is one dict probe plus,
-        for top-k masks, one kept-count reduction.  ``kind`` mirrors
-        :mod:`repro.core.dispatch`: ``"none"`` (no mask), ``"ragged"``
-        (adaptive flag set), ``"topk"`` with the per-sample kept-count
-        when all samples agree, and ``"mixed"`` otherwise — which no
-        tuner ever emits, so unequal-count masks without the ragged flag
-        safely miss the table and keep their heuristic path.
+        ``(in_c, out_c, kernel, stride, padding, H, W, kind, kept,
+        dtype)`` — the key :class:`repro.obs.PlanProfiler` rows and the
+        ``kernel`` trace span's ``kind``/``kept``/``hw`` attributes are
+        recorded under.  The static half (channel dims, kernel, stride,
+        padding) is fixed per op, so the tuple is memoized by the dynamic
+        half ``(H, W, kind, kept, dtype)`` — one dict probe plus, for
+        top-k masks, one kept-count reduction.  ``kind`` is ``"none"``
+        (no mask), ``"ragged"`` (adaptive flag set), ``"topk"`` with the
+        per-sample kept-count when all samples agree, and ``"mixed"``
+        otherwise.
 
         A spatial mask appends its own suffix to ``kind``: ``"+spr"``
         (ragged — adaptive kept-position counts), ``"+sp<count>"``
         (top-k, every sample keeps the same position count) or
-        ``"+spx"`` (mixed counts without the ragged flag — never emitted
-        by a tuner, so such calls miss the table).
+        ``"+spx"`` (mixed counts without the ragged flag).
         """
         if channel_mask is None:
             kind, kept = "none", -1
@@ -1155,17 +1125,12 @@ class _ConvOp:
         channel_mask, spatial_mask, ragged = state.take()
         config = plan.config
         zero_out: Optional[np.ndarray] = None
-        if plan.capture is not None:
-            # Tuner calibration pass: record the site as the untuned plan
-            # sees it (masks included), then execute normally.
-            plan.capture.append((self, x, channel_mask, spatial_mask, ragged))
 
         # Observability preamble: only when a tracer is installed or a
         # profiler is attached does this op pay for a timer pair and an
         # on_dispatch wrapper that remembers which strategy actually ran.
         # The masks get mutated below (dense-threshold downgrades), so the
-        # geometry key is captured now; it is memoized, so the tuned
-        # lookup's own geometry() call stays one dict probe.
+        # geometry key is computed now.
         on_dispatch = plan.count_dispatch
         profiler = plan.profiler
         timing = profiler is not None or _obs.enabled
@@ -1180,49 +1145,24 @@ class _ConvOp:
             obs_cache0 = plan.cache.hits
             obs_start = time.perf_counter()
 
-        # Measured dispatch: a tuned plan consults its table before any
-        # batch-mean heuristics.  A hit pins this geometry's strategy and
-        # tile size (per-geometry constants — batch-invariant by
-        # construction); a miss counts a fallback and keeps the heuristic
-        # path, so unseen traffic is never worse than untuned.
-        entry = None
-        if plan.dispatch is not None:
-            entry = plan.dispatch.lookup(
-                self.geometry(x, channel_mask, ragged, spatial_mask)
-            )
-            if entry is None:
-                plan.count_fallback()
-
-        if entry is not None:
-            if entry.strategy == "dense":
-                # Upstream masking already zeroed the input channels (the
-                # pruning site multiplies before arming), so dense is exact.
+        # The batch-mean dispatch shortcuts below are skipped for ragged
+        # masks: their decisions depend on who shares the batch, which
+        # would break the batch-invariance contract for adaptive traffic.
+        # The ragged path handles the dense-ish regime itself — samples
+        # whose quantized kept-count reaches the channel dimension land in
+        # a full-width bucket, a per-sample decision.
+        if channel_mask is not None and not ragged:
+            if 1.0 - float(channel_mask.mean()) < config.dense_threshold:
+                # Input channels are already zeroed upstream: dense is exact.
                 channel_mask = None
-                if spatial_mask is not None:
-                    # Compute dense, zero dropped positions afterwards —
-                    # same values at kept positions, exact zeros elsewhere.
-                    oh, ow = self.output_shape(x.shape[2], x.shape[3])
-                    zero_out = output_keep_grid(spatial_mask, self.stride, oh, ow)
-                    spatial_mask = None
-        else:
-            # The batch-mean dispatch shortcuts below are skipped for ragged
-            # masks: their decisions depend on who shares the batch, which
-            # would break the batch-invariance contract for adaptive traffic.
-            # The ragged path handles the dense-ish regime itself — samples
-            # whose quantized kept-count reaches the channel dimension land in
-            # a full-width bucket, a per-sample decision.
-            if channel_mask is not None and not ragged:
-                if 1.0 - float(channel_mask.mean()) < config.dense_threshold:
-                    # Input channels are already zeroed upstream: dense is exact.
-                    channel_mask = None
-            if spatial_mask is not None and not ragged:
-                oh, ow = self.output_shape(x.shape[2], x.shape[3])
-                keep2d = output_keep_grid(spatial_mask, self.stride, oh, ow)
-                if 1.0 - float(keep2d.mean()) < config.dense_threshold:
-                    # Compute dense, then zero dropped positions to preserve the
-                    # skip semantics (identical values at kept positions).
-                    zero_out = keep2d
-                    spatial_mask = None
+        if spatial_mask is not None and not ragged:
+            oh, ow = self.output_shape(x.shape[2], x.shape[3])
+            keep2d = output_keep_grid(spatial_mask, self.stride, oh, ow)
+            if 1.0 - float(keep2d.mean()) < config.dense_threshold:
+                # Compute dense, then zero dropped positions to preserve the
+                # skip semantics (identical values at kept positions).
+                zero_out = keep2d
+                spatial_mask = None
 
         if channel_mask is None and spatial_mask is None:
             on_dispatch("dense")
@@ -1241,36 +1181,12 @@ class _ConvOp:
             col = F.im2col_t(
                 x, k, self.stride, self.padding,
                 out=arena.take("im2col", (n, c * k * k, oh * ow), x.dtype),
-                tile_rows=entry.tile_rows
-                if entry is not None and entry.tile_rows is not None
-                else F.default_tile_rows(c, k, ow, x.dtype.itemsize),
+                tile_rows=F.default_tile_rows(c, k, ow, x.dtype.itemsize),
             )
             out = np.empty((n, out_c, oh, ow), dtype=x.dtype)
             _matmul_into(self.weight.reshape(out_c, -1), col, out.reshape(n, out_c, oh * ow))
             if self.bias is not None:
                 out += self.bias.reshape(1, out_c, 1, 1)
-        elif entry is not None:
-            # Tuned dispatch: the measured winner's strategy/quantum/tile,
-            # pinned per geometry.  Fine-grained counting happens inside
-            # sparse_conv2d via the on_dispatch hook.
-            out = sparse_conv2d(
-                x,
-                self.weight,
-                self.bias,
-                self.stride,
-                self.padding,
-                channel_mask=channel_mask,
-                spatial_mask=spatial_mask,
-                cache=plan.cache,
-                cache_key=self.key,
-                batch_invariant=config.batch_invariant,
-                arena=plan.arena,
-                ragged=entry.strategy == "ragged",
-                kept_quantum=entry.kept_quantum,
-                strategy=entry.strategy,
-                tile_rows=entry.tile_rows,
-                on_dispatch=on_dispatch,
-            )
         else:
             # ``ragged_mode="never"`` is the pre-ragged dispatch, spatial
             # masks included: they run the per-sample gather loop.
@@ -1314,7 +1230,6 @@ class _ConvOp:
                         {
                             "op": self.key,
                             "strategy": strategy,
-                            "tuned": entry is not None,
                             "kind": obs_geo[7],
                             "kept": obs_geo[8],
                             "cache_hits": plan.cache.hits - obs_cache0,
@@ -1550,16 +1465,10 @@ class ExecutionPlan:
         self.dense_dispatches = 0
         self.sparse_dispatches = 0
         self.ragged_dispatches = 0
-        #: Measured dispatch table (:class:`repro.core.dispatch.DispatchTable`)
-        #: or ``None`` for pure heuristic dispatch.
-        self.dispatch: Optional[object] = None
-        #: Tuner hook: a list makes every _ConvOp.run record its site.
-        self.capture: Optional[List[Tuple]] = None
         #: Opt-in per-op profiler (:class:`repro.obs.PlanProfiler`) — when
         #: attached, every conv dispatch records (geometry, strategy, wall
         #: time, bytes moved).  ``None`` keeps the hot path timer-free.
         self.profiler: Optional[object] = None
-        self.dispatch_fallbacks = 0
         self.dispatch_counts: Dict[str, int] = dict.fromkeys(self.DISPATCH_KINDS, 0)
 
     @property
@@ -1594,11 +1503,6 @@ class ExecutionPlan:
                 self.sparse_dispatches += 1
                 fine = kind if kind in self.dispatch_counts else "grouped"
                 self.dispatch_counts[fine] += 1
-
-    def count_fallback(self) -> None:
-        """A tuned plan met a geometry its table has never seen."""
-        with self._dispatch_lock:
-            self.dispatch_fallbacks += 1
 
     def arena_stats(self) -> Dict[str, int]:
         """Merged workspace counters across every worker thread."""
@@ -1705,7 +1609,6 @@ class ExecutionPlan:
             self.dense_dispatches = 0
             self.sparse_dispatches = 0
             self.ragged_dispatches = 0
-            self.dispatch_fallbacks = 0
             self.dispatch_counts = dict.fromkeys(self.DISPATCH_KINDS, 0)
         self.cache.reset_counters()
 

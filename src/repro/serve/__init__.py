@@ -33,21 +33,12 @@ from ..core.engine import (
     model_sparsity,
     register_backend,
 )
-from ..core.dispatch import (
-    DISPATCH_SCHEMA,
-    DispatchEntry,
-    DispatchTable,
-    TuneReport,
-    tune_plan,
-)
 from .bench import (
     ADAPTIVE_SCHEMA,
     CASCADE_SCHEMA,
-    DISPATCH_BENCH_SCHEMA,
     SERVE_SCHEMA,
     run_adaptive_benchmark,
     run_cascade_benchmark,
-    run_dispatch_benchmark,
     run_serve_benchmark,
     write_serve_json,
 )
@@ -99,16 +90,9 @@ __all__ = [
     "gate_confidence",
     "SERVE_SCHEMA",
     "ADAPTIVE_SCHEMA",
-    "DISPATCH_BENCH_SCHEMA",
     "CASCADE_SCHEMA",
-    "DISPATCH_SCHEMA",
-    "DispatchEntry",
-    "DispatchTable",
-    "TuneReport",
-    "tune_plan",
     "run_serve_benchmark",
     "run_adaptive_benchmark",
-    "run_dispatch_benchmark",
     "run_cascade_benchmark",
     "write_serve_json",
     "decode_request",

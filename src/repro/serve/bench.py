@@ -46,7 +46,7 @@ from ..core.pruning import (
 )
 from ..core.runtime_bench import build_conv_stack, timed
 from ..obs.profile import PlanProfiler, merge_profiles
-from ..obs.quantiles import median, quantile
+from ..obs.quantiles import quantile
 from ..core.sparse_exec import PlanConfig, dense_reference_forward
 from ..models.resnet import ResNet
 from ..models.vgg import vgg16
@@ -55,21 +55,17 @@ from .session import InferenceSession, SessionConfig
 __all__ = [
     "SERVE_SCHEMA",
     "ADAPTIVE_SCHEMA",
-    "DISPATCH_BENCH_SCHEMA",
     "CASCADE_SCHEMA",
     "RAGGED_REGRESSION_SLACK",
-    "DISPATCH_REGRESSION_SLACK",
     "CASCADE_SMOKE_RETENTION_SLACK",
     "run_serve_benchmark",
     "run_adaptive_benchmark",
-    "run_dispatch_benchmark",
     "run_cascade_benchmark",
     "write_serve_json",
 ]
 
 SERVE_SCHEMA = "repro.bench_serve.v1"
 ADAPTIVE_SCHEMA = "repro.bench_adaptive.v1"
-DISPATCH_BENCH_SCHEMA = "repro.bench_dispatch.v1"
 CASCADE_SCHEMA = "repro.bench_cascade.v1"
 
 #: Minimum ragged-path speedup over the per-input fallback for the CI
@@ -77,12 +73,6 @@ CASCADE_SCHEMA = "repro.bench_cascade.v1"
 #: degrading back to one signature-group GEMM per sample — costs a
 #: multiple, not a percentage, so the slack only absorbs timer noise.
 RAGGED_REGRESSION_SLACK = 0.8
-
-#: Minimum tuned-over-default speedup for the ``bench-dispatch`` smoke
-#: verdict.  The tuner measures the default strategy among its candidates
-#: on the same harness, so a tuned plan can only lose to the heuristic by
-#: timer noise — the slack absorbs exactly that and nothing structural.
-DISPATCH_REGRESSION_SLACK = 0.85
 
 #: Accuracy-retention allowance for the ``bench-cascade`` *smoke* verdict.
 #: On a smoke-sized stream (~48 requests at ~2/3 dense accuracy) a single
@@ -524,53 +514,6 @@ def _spatial_threshold_stack(
     return stack, pruners
 
 
-def _mixed_threshold_stack(
-    image_size: int,
-    width: int,
-    depth: int,
-    seed: int,
-    channel_fraction: float = 0.75,
-    spatial_keep: float = 0.5,
-    calibration_batch: int = 8,
-):
-    """A threshold stack alternating channel-adaptive and spatial-adaptive sites.
-
-    Even sites prune channels (threshold at ``channel_fraction`` of the
-    batch-median channel attention, as :func:`calibrate_thresholds`
-    would); odd sites prune spatial columns (threshold at the
-    ``(1 - spatial_keep)`` quantile of spatial attention).  One tuning
-    pass over this stack therefore exercises *both* measured candidate
-    families — the channel ragged ``kept_quantum`` sweep and the spatial
-    ragged/per-position family — which is what the CI smoke asserts.
-    """
-    stack = build_conv_stack(
-        0.5, spatial_ratio=0.5, width=width, depth=depth, seed=seed
-    )
-    pruners = [m for m in stack.modules() if isinstance(m, DynamicPruning)]
-    for pruner in pruners:
-        pruner.mask_mode = "threshold"
-        pruner.threshold = 0.0
-    calib = np.random.default_rng(seed + 11).normal(
-        size=(calibration_batch, 3, image_size, image_size)
-    ).astype(np.float32)
-    # Sequential calibration, as in _spatial_threshold_stack: each site's
-    # threshold is placed on the score distribution it will actually see
-    # once every earlier site prunes.
-    for index, pruner in enumerate(pruners):
-        channel_scores, spatial_scores = _capture_site_scores(
-            stack, pruners, calib
-        )[index]
-        if index % 2 == 0:
-            pruner.set_ratios(0.5, 0.0)  # channel-only, ragged kept-counts
-            pruner.threshold = channel_fraction * median(channel_scores)
-        else:
-            pruner.set_ratios(0.0, 0.5)  # spatial-only, ragged kept-positions
-            pruner.threshold = quantile(spatial_scores, 1.0 - spatial_keep)
-    for pruner in pruners:
-        pruner.reset_stats()
-    return stack
-
-
 def _spatial_sweep(
     keeps: Sequence[float],
     image_sizes: Sequence[int],
@@ -884,147 +827,6 @@ def run_adaptive_benchmark(
         "summary": summary,
         "results": results,
         "spatial": spatial,
-    }
-
-
-def run_dispatch_benchmark(
-    image_sizes: Sequence[int] = (16, 32),
-    modes: Sequence[str] = ("topk", "threshold"),
-    batch_size: int = 8,
-    width: int = 64,
-    depth: int = 4,
-    channel_ratio: float = 0.5,
-    threshold_fraction: float = 0.75,
-    repeats: int = 5,
-    tune_repeats: int = 3,
-    seed: int = 0,
-    smoke: bool = False,
-) -> Dict[str, Any]:
-    """Tuned-vs-default grid → the ``dispatch`` block of ``BENCH_sparse.json``.
-
-    For each (mode, image size) grid point the harness builds the same
-    conv stack twice: once with the heuristic ``PlanConfig`` defaults and
-    once compiled ``tuned=True`` — the measured-calibration pass of
-    :func:`repro.core.dispatch.tune_plan`, fed the benchmark batch itself
-    as calibration so every execution geometry is seen by the tuner.
-    Both engines run the identical batch; ``timed`` best-of-``repeats``
-    gives ``default_ms`` / ``tuned_ms``.
-
-    Bit-identity is asserted two ways per row: the tuned batch against the
-    default batch (``array_equal``, full tensors), and tuned per-request
-    outputs against default per-request outputs — a dispatch table must
-    change *when* a strategy runs, never *what* it computes, at any batch
-    composition.
-
-    Modes:
-
-    * ``topk`` — fixed keep ratio (equal per-sample kept-counts), the
-      grouped/stacked/ragged-exact candidate family;
-    * ``threshold`` — calibrated per-input thresholds (ragged kept-counts),
-      the quantized ragged-tile family.
-    """
-    if smoke:
-        image_sizes = tuple(image_sizes[:1]) or (16,)
-        modes = tuple(modes[:2])
-        repeats = min(repeats, 3)
-        tune_repeats = min(tune_repeats, 2)
-
-    results: List[Dict[str, Any]] = []
-    for mode in modes:
-        if mode not in ("topk", "threshold"):
-            raise ValueError(f"unknown dispatch bench mode: {mode!r}")
-        for image_size in image_sizes:
-            batch = np.random.default_rng(seed + 3).normal(
-                size=(batch_size, 3, image_size, image_size)
-            ).astype(np.float32)
-            requests = [batch[i : i + 1] for i in range(batch_size)]
-            if mode == "topk":
-                stack = build_conv_stack(
-                    channel_ratio, width=width, depth=depth, seed=seed
-                )
-            else:
-                stack, _ = _threshold_stack(
-                    threshold_fraction, image_size, width, depth, seed
-                )
-
-            config = PlanConfig(batch_invariant=True, dense_threshold=0.0)
-            default_engine = create_engine(stack, backend="sparse", config=config)
-            tuned_engine = create_engine(
-                stack,
-                backend="sparse",
-                config=config,
-                tuned=True,
-                calibration=batch,
-                tune_repeats=tune_repeats,
-            )
-            default_engine(batch)  # warm plans + caches
-            tuned_engine(batch)
-            t_default = timed(lambda: default_engine(batch), repeats)
-            t_tuned = timed(lambda: tuned_engine(batch), repeats)
-
-            reference = [default_engine(r) for r in requests]
-            tuned_requests = [tuned_engine(r) for r in requests]
-            bit_identical = bool(
-                np.array_equal(tuned_engine(batch), default_engine(batch))
-                and all(
-                    np.array_equal(out, ref)
-                    for out, ref in zip(tuned_requests, reference)
-                )
-            )
-
-            tuned_engine.reset_stats()
-            tuned_engine(batch)
-            stats = tuned_engine.stats()
-            report = tuned_engine.tune_report
-            results.append(
-                {
-                    "model": "conv_stack",
-                    "mode": mode,
-                    "image_size": int(image_size),
-                    "batch_size": int(batch_size),
-                    "default_ms": t_default * 1e3,
-                    "tuned_ms": t_tuned * 1e3,
-                    "speedup": t_default / t_tuned,
-                    "tuned_sites": stats["tuned_sites"],
-                    "dispatch": stats["dispatch"],
-                    "dispatch_fallbacks": stats["dispatch_fallbacks"],
-                    "unique_geometries": report.unique_geometries,
-                    "duplicates_skipped": report.duplicates_skipped,
-                    "candidates_rejected": report.rejected_total,
-                    "bit_identical": bit_identical,
-                }
-            )
-
-    summary = {
-        "bit_identical_all": all(r["bit_identical"] for r in results),
-        "dispatch_regression_slack": DISPATCH_REGRESSION_SLACK,
-        "tuned_not_below_default": all(
-            r["speedup"] >= DISPATCH_REGRESSION_SLACK for r in results
-        ),
-        "best_speedup": max(r["speedup"] for r in results),
-        "no_rejected_candidates": all(
-            r["candidates_rejected"] == 0 for r in results
-        ),
-    }
-    return {
-        "schema": DISPATCH_BENCH_SCHEMA,
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "platform": {"python": platform.python_version(), "machine": platform.machine()},
-        "config": {
-            "image_sizes": [int(s) for s in image_sizes],
-            "modes": list(modes),
-            "batch_size": batch_size,
-            "width": width,
-            "depth": depth,
-            "channel_ratio": channel_ratio,
-            "threshold_fraction": threshold_fraction,
-            "repeats": repeats,
-            "tune_repeats": tune_repeats,
-            "seed": seed,
-            "smoke": smoke,
-        },
-        "summary": summary,
-        "results": results,
     }
 
 

@@ -10,7 +10,7 @@ escalated requests re-enter the next denser stage's micro-batching queue.
 Under skewed traffic most requests exit at the cheap stage and the
 expensive model only sees the hard tail — a scenario-level speedup
 multiplicative with everything the per-stage engines already do
-(mask-signature batching, ragged execution, measured dispatch).
+(mask-signature batching, ragged execution, weight-slice caching).
 
 Gates (``higher = more confident``, computed on plain logits with the
 stable helpers in :mod:`repro.nn.functional`):
@@ -278,7 +278,7 @@ class CascadeSession:
         :meth:`~repro.serve.registry.ModelRegistry.family_ladder` from the
         machine-readable ``family`` / ``sparsity_level`` metadata.  Every
         stage gets its own :class:`InferenceSession` (own queue, window,
-        workers, dispatch table) and pins its artifact version against
+        workers) and pins its artifact version against
         ``registry gc`` until the cascade closes.
         """
         if (refs is None) == (family is None):

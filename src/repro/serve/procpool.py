@@ -110,28 +110,15 @@ def _build_worker_engine(spec: Dict[str, Any]) -> EngineProtocol:
     builder, so every replica compiles the identical plan.
     """
     config: PlanConfig = spec["config"]
-    dispatch_table = None
-    dispatch_manifest = spec.get("dispatch")
-    if dispatch_manifest is not None:
-        # The parent serialized its measured table into the spawn args
-        # (JSON-safe + picklable), so every replica dispatches identically
-        # without re-measuring.
-        from ..core.dispatch import DispatchTable
-
-        dispatch_table = DispatchTable.from_manifest(dispatch_manifest)
     if spec.get("registry") is not None:
         from .registry import ModelRegistry, parse_ref
 
         name, version = parse_ref(spec["ref"])
         artifact = ModelRegistry(spec["registry"]).load(name, version)
         model = artifact.handle if artifact.handle is not None else artifact.model
-        if dispatch_table is None:
-            dispatch_table = artifact.dispatch_table
     else:
         model = spec["model"]
-    engine = create_engine(
-        model, backend=spec["backend"], config=config, dispatch_table=dispatch_table
-    )
+    engine = create_engine(model, backend=spec["backend"], config=config)
     if spec.get("profile"):
         # Opt-in per-op profiling: the worker's plan records per-geometry
         # wall time + bytes moved, reported home via the ("stats",) round
@@ -334,13 +321,6 @@ class ProcPoolEngine(EngineProtocol):
     respawn_limit:
         Total worker respawns before the pool stops replacing dead
         processes (a guard against a crash-looping model, not a tunable).
-    dispatch_table, tuned, calibration, tune_repeats:
-        Measured per-geometry dispatch (:mod:`repro.core.dispatch`).  A
-        given ``dispatch_table`` ships to every worker through the spawn
-        spec; ``tuned=True`` instead measures once *in the parent* on an
-        in-process replica and ships the resulting table — never per
-        worker, so all replicas elect the same winners.  Registry-started
-        pools inherit the artifact's persisted table automatically.
     profile:
         Attach a :class:`repro.obs.PlanProfiler` to every worker's plan;
         per-geometry wall-time/bytes rows come home through
@@ -367,10 +347,6 @@ class ProcPoolEngine(EngineProtocol):
         slot_mb: float = 8.0,
         respawn_limit: int = 8,
         start_timeout: float = 120.0,
-        dispatch_table: Optional[object] = None,
-        tuned: bool = False,
-        calibration: Optional[np.ndarray] = None,
-        tune_repeats: int = 3,
         profile: bool = False,
     ):
         if proc_workers < 1:
@@ -407,30 +383,6 @@ class ProcPoolEngine(EngineProtocol):
         self._respawns = 0
         self._errors = 0
         self._probe: Optional[EngineProtocol] = None
-        self.tune_report = None
-        if tuned and dispatch_table is None:
-            # Tune ONCE in the parent (on an in-process replica compiled
-            # from the same spec) and ship the measured table to every
-            # worker: re-measuring per process could elect different
-            # winners under scheduler noise, and replica dispatch must be
-            # identical for responses to be process-agnostic.
-            probe = _build_worker_engine(self._spec)
-            plan = getattr(probe, "plan", None)
-            if plan is not None:
-                from ..core.dispatch import synthesize_calibration, tune_plan
-
-                calib = (
-                    np.asarray(calibration, dtype=np.float32)
-                    if calibration is not None
-                    else synthesize_calibration(plan)
-                )
-                self.tune_report = tune_plan(plan, calib, repeats=tune_repeats)
-                dispatch_table = self.tune_report.table
-            self._probe = probe
-        self._dispatch_table = dispatch_table
-        self._spec["dispatch"] = (
-            None if dispatch_table is None else dispatch_table.to_manifest()
-        )
         self._wake_r, self._wake_w = os.pipe()
         self._workers: List[_WorkerHandle] = [
             self._spawn(index, gen=0) for index in range(proc_workers)
@@ -693,9 +645,6 @@ class ProcPoolEngine(EngineProtocol):
                 "proc_workers": self.proc_workers,
                 "dispatches": sum(self._dispatches.values()),
                 "per_process": dict(self._dispatches),
-                "tuned_sites": 0
-                if self._dispatch_table is None
-                else len(self._dispatch_table),
                 "respawns": self._respawns,
                 "errors": self._errors,
                 "in_flight": len(self._inflight),

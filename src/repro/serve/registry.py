@@ -24,7 +24,10 @@ names a registered architecture family (``vgg``, ``resnet``,
 :class:`~repro.core.pruning.DynamicPruning` site (path, ratios, criterion,
 mask mode, threshold, granularity) so the loaded model is re-instrumented
 exactly; ``plan`` carries the :class:`~repro.core.sparse_exec.PlanConfig`
-knobs the artifact was validated with.
+knobs the artifact was validated with.  Manifests saved by older
+versions may also carry a ``dispatch`` block (a measured per-geometry
+strategy table) and a ``content.dispatch_sha256``; :meth:`ModelRegistry.load`
+ignores both, since execution no longer reads them.
 
 Writes are atomic (temp directory + ``os.replace``), so a crashed save
 never leaves a half-registered version.
@@ -42,7 +45,6 @@ import time
 import uuid
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core.dispatch import DispatchTable
 from ..core.pruning import InstrumentedModel, PruningConfig, instrument_model
 from ..core.sparse_exec import PlanConfig
 from ..models.base import PrunableModel
@@ -274,9 +276,6 @@ class LoadedArtifact:
     arch: Dict[str, Any]
     metadata: Dict[str, Any]
     path: str
-    #: Measured per-geometry dispatch table (``None`` when the artifact
-    #: was saved untuned — engines then use heuristic dispatch).
-    dispatch_table: Optional[DispatchTable] = None
 
 
 class ModelRegistry:
@@ -307,11 +306,7 @@ class ModelRegistry:
                 found.append(int(match.group(1)))
         return sorted(found)
 
-    def list_artifacts(
-        self,
-        family: Optional[str] = None,
-        include_dispatch: bool = False,
-    ) -> List[Dict[str, Any]]:
+    def list_artifacts(self, family: Optional[str] = None) -> List[Dict[str, Any]]:
         """One row per stored version, without rebuilding any model.
 
         This is what ``repro registry ls`` prints: enough to re-run a
@@ -321,10 +316,6 @@ class ModelRegistry:
         ``family`` filters to versions whose *metadata* ``family`` key
         matches (the model-family tag :meth:`save` records, distinct from
         the arch family) — the view ``repro registry ls --family`` shows.
-        ``include_dispatch`` attaches each tuned artifact's persisted
-        per-geometry dispatch entries (measured winner/baseline ms) as
-        ``row["dispatch_entries"]`` — what ``registry ls --profile``
-        renders.
         """
         rows: List[Dict[str, Any]] = []
         for name in self.names():
@@ -341,15 +332,6 @@ class ModelRegistry:
                 if family is not None and metadata.get("family") != family:
                     continue
                 pruning = manifest.get("pruning") or []
-                dispatch_entries = (manifest.get("dispatch") or {}).get("entries", [])
-                # Winner-strategy histogram of the persisted dispatch table:
-                # ``registry ls`` shows at a glance whether an artifact was
-                # tuned into the ragged/ragged-spatial fast paths or fell
-                # back to dense/per-position everywhere.
-                tuned_strategies: Dict[str, int] = {}
-                for entry in dispatch_entries:
-                    strategy = entry.get("strategy", "?")
-                    tuned_strategies[strategy] = tuned_strategies.get(strategy, 0) + 1
                 rows.append(
                     {
                         "name": name,
@@ -357,8 +339,6 @@ class ModelRegistry:
                         "created_at": manifest.get("created_at"),
                         "family": (manifest.get("arch") or {}).get("family"),
                         "pruning_sites": len(pruning),
-                        "tuned_geometries": len(dispatch_entries),
-                        "tuned_strategies": dict(sorted(tuned_strategies.items())),
                         "plan": manifest.get("plan") or {},
                         "metadata": metadata,
                         "model_family": metadata.get("family"),
@@ -370,8 +350,6 @@ class ModelRegistry:
                         "path": path,
                     }
                 )
-                if include_dispatch:
-                    rows[-1]["dispatch_entries"] = list(dispatch_entries)
         return rows
 
     def family_ladder(self, family: str) -> List[Dict[str, Any]]:
@@ -588,7 +566,6 @@ class ModelRegistry:
         arch: Optional[Dict[str, Any]] = None,
         plan: Optional[PlanConfig] = None,
         metadata: Optional[Dict[str, Any]] = None,
-        dispatch: Optional[DispatchTable] = None,
         family: Optional[str] = None,
         sparsity_level: Optional[float] = None,
     ) -> Tuple[str, int]:
@@ -598,10 +575,6 @@ class ModelRegistry:
         :class:`~repro.core.pruning.InstrumentedModel` handle — pruning
         sites are recorded in the manifest either way (wrapping changes no
         parameter names, so the state dict stays architecture-shaped).
-        ``dispatch`` persists a measured per-geometry dispatch table
-        (:func:`repro.core.dispatch.tune_plan`) in the manifest's
-        versioned ``dispatch`` block, covered by its own SHA-256 in
-        ``content`` so tampering is caught at load time.
 
         ``family`` and ``sparsity_level`` (fraction of compute pruned, in
         ``[0, 1]``) land in the manifest metadata as the machine-readable
@@ -636,7 +609,6 @@ class ModelRegistry:
             "pruning": _pruning_spec(handle) if handle is not None else None,
             "plan": dataclasses.asdict(plan or PlanConfig()),
             "metadata": metadata,
-            "dispatch": None if dispatch is None else dispatch.to_manifest(),
         }
 
         version = (self.versions(name) or [0])[-1] + 1
@@ -654,13 +626,6 @@ class ModelRegistry:
                 "weights_sha256": _sha256_file(weights_path),
                 "weights_bytes": os.path.getsize(weights_path),
             }
-            if manifest["dispatch"] is not None:
-                # Canonical-JSON digest of the dispatch block: a table that
-                # steers execution strategy is integrity-critical the same
-                # way weights are.
-                manifest["content"]["dispatch_sha256"] = hashlib.sha256(
-                    json.dumps(manifest["dispatch"], sort_keys=True).encode("utf-8")
-                ).hexdigest()
             with open(os.path.join(tmp_dir, _MANIFEST), "w", encoding="utf-8") as fh:
                 json.dump({**manifest, "version": version}, fh, indent=2)
                 fh.write("\n")
@@ -691,6 +656,8 @@ class ModelRegistry:
         The returned model is in eval mode with its state strictly loaded
         (any arch/weights disagreement raises the per-key
         ``load_state_dict`` diagnostic rather than mis-building silently).
+        Unknown ``plan`` fields, and the ``dispatch`` block of manifests
+        saved by older versions, are ignored.
         """
         version, path = self.resolve(name, version)
         with open(os.path.join(path, _MANIFEST), encoding="utf-8") as fh:
@@ -738,24 +705,6 @@ class ModelRegistry:
             **{k: v for k, v in (manifest.get("plan") or {}).items() if k in plan_fields}
         )
 
-        dispatch_table: Optional[DispatchTable] = None
-        dispatch_block = manifest.get("dispatch")
-        if dispatch_block is not None:
-            recorded_dispatch = content.get("dispatch_sha256")
-            if recorded_dispatch:
-                actual_dispatch = hashlib.sha256(
-                    json.dumps(dispatch_block, sort_keys=True).encode("utf-8")
-                ).hexdigest()
-                if actual_dispatch != recorded_dispatch:
-                    raise ArtifactIntegrityError(
-                        f"artifact {name}@v{version} dispatch-table hash mismatch: "
-                        f"manifest records sha256 {recorded_dispatch}, "
-                        f"block is {actual_dispatch}"
-                    )
-            # Unknown dispatch schemas raise ValueError here: a table tuned
-            # under different dispatch semantics must not steer this runtime.
-            dispatch_table = DispatchTable.from_manifest(dispatch_block)
-
         return LoadedArtifact(
             name=name,
             version=version,
@@ -765,5 +714,4 @@ class ModelRegistry:
             arch=manifest["arch"],
             metadata=manifest.get("metadata") or {},
             path=path,
-            dispatch_table=dispatch_table,
         )

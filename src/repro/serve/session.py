@@ -94,11 +94,6 @@ class SessionConfig:
         Bound on queued (not yet scheduled) requests; :meth:`submit`
         blocks (or raises, with ``block=False``) when full, providing
         backpressure instead of unbounded memory growth.
-    latency_window:
-        Legacy knob from the sample-list era of latency telemetry, kept
-        (and still validated) for config compatibility.  Quantiles now
-        come from a constant-memory streaming histogram, which has no
-        window to size.
     workers:
         Worker threads pulling windows off the shared queue.  ``1``
         preserves the strictly-serial scheduler; ``N > 1`` needs (or
@@ -132,7 +127,6 @@ class SessionConfig:
     max_batch: int = 8
     batch_window_ms: float = 2.0
     queue_depth: int = 256
-    latency_window: int = 4096
     workers: int = 1
     bucket_requests: bool = False
     bucket_fn: Optional[Callable[[np.ndarray], Any]] = None
@@ -145,8 +139,6 @@ class SessionConfig:
             raise ValueError("batch_window_ms must be >= 0")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if self.latency_window < 1:
-            raise ValueError("latency_window must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -372,10 +364,7 @@ class InferenceSession:
 
         The artifact's recorded :class:`PlanConfig` is used, with
         ``batch_invariant`` forced on — registry artifacts are served, and
-        served responses must not depend on batch composition.  An
-        artifact carrying a measured dispatch table attaches it to the
-        engine (callers may still override via ``dispatch_table=`` or
-        re-measure via ``tuned=True``).
+        served responses must not depend on batch composition.
 
         The served version is **pinned** against ``registry gc`` for the
         session's lifetime (released on :meth:`close`), so automated
@@ -387,8 +376,6 @@ class InferenceSession:
         artifact = registry.load(name, version)
         plan = dataclasses.replace(artifact.plan_config, batch_invariant=True)
         model = artifact.handle if artifact.handle is not None else artifact.model
-        if artifact.dispatch_table is not None and not engine_kwargs.get("tuned"):
-            engine_kwargs.setdefault("dispatch_table", artifact.dispatch_table)
         engine = create_engine(model, backend=backend, config=plan, **engine_kwargs)
         built = cls(engine, session)
         built._owns_engine = True

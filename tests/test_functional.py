@@ -169,6 +169,15 @@ class TestIm2ColKernels:
         assert F.default_tile_rows(4, 3, 8, 4) >= 8
         assert F.default_tile_rows(1, 1, 1, 4) >= 1
 
+    def test_default_tile_rows_memoized(self):
+        F.default_tile_rows.cache_clear()
+        first = F.default_tile_rows(16, 3, 14, 4)
+        info = F.default_tile_rows.cache_info()
+        assert info.misses >= 1
+        again = F.default_tile_rows(16, 3, 14, 4)
+        assert again == first
+        assert F.default_tile_rows.cache_info().hits > info.hits
+
 
 class TestConv2d:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])

@@ -255,9 +255,8 @@ class TestProfiler:
 
         A deterministic stand-in for a wall-clock overhead bound (which
         would flake on shared CI runners): the obs preamble in
-        ``_ConvOp.run`` is the only caller of ``geometry()`` outside
-        capture/tuning, so counting calls proves the disabled path skips
-        the whole block.
+        ``_ConvOp.run`` is the only caller of ``geometry()``, so counting
+        calls proves the disabled path skips the whole block.
         """
         from repro.core.sparse_exec import _ConvOp
 

@@ -315,36 +315,3 @@ class TestProcPoolLifecycle:
         with pytest.raises(ProcPoolClosed):
             engine(make_requests(1)[0])
         engine.close()  # idempotent
-
-
-class TestDispatchTransport:
-    """Tuned dispatch tables must ship to every worker process."""
-
-    def test_tuned_pool_bit_identical_to_tuned_local(self, stack_model):
-        calibration = np.random.default_rng(7).normal(
-            size=(4, 3, 16, 16)
-        ).astype(np.float32)
-        engine = create_engine(
-            stack_model,
-            backend="procpool",
-            proc_workers=2,
-            tuned=True,
-            calibration=calibration,
-            tune_repeats=1,
-        )
-        try:
-            assert engine.stats()["tuned_sites"] > 0
-            table = engine.tune_report.table
-            local = create_engine(
-                stack_model,
-                "sparse",
-                config=PlanConfig(batch_invariant=True),
-                dispatch_table=table,
-            )
-            for request in make_requests(4, seed=21):
-                assert np.array_equal(engine(request), local(request))
-            # Workers rebuilt the identical table from the spawn spec.
-            for row in engine.process_stats().values():
-                assert row["tuned_sites"] == len(table)
-        finally:
-            engine.close()

@@ -339,6 +339,91 @@ class TestRegistryOperations:
 
 
 # ----------------------------------------------------------------------
+# Artifacts and callers from before the dispatch tuner was removed
+# ----------------------------------------------------------------------
+def _legacy_dispatch_block(schema):
+    """A ``dispatch`` manifest block as older versions saved it."""
+    geometry = {
+        "in_c": 8, "out_c": 8, "kernel": 3, "stride": 1, "padding": 1,
+        "h": 32, "w": 32, "kind": "topk", "kept": 4, "dtype": "float32",
+    }
+    entry = {
+        "geometry": geometry, "strategy": "stacked", "kept_quantum": 1,
+        "tile_rows": None, "dense_threshold": 0.0, "baseline_ms": 1.0,
+        "winner_ms": 0.9, "sites": 1,
+    }
+    return {"schema": schema, "entries": [entry]}
+
+
+class TestLegacyDispatch:
+    def test_old_manifest_dispatch_blocks_are_ignored(self, tmp_path, capsys):
+        import hashlib
+        import json
+        import os
+
+        from repro.cli import main
+
+        handle = slim_vgg_handle()
+        registry = ModelRegistry(str(tmp_path))
+        for name in ("plain", "mismatch", "unknown"):
+            registry.save(name, handle)
+        unknown = _legacy_dispatch_block("repro.dispatch.v999")
+        legacy = {
+            # A block whose recorded digest does not match it.
+            "mismatch": (_legacy_dispatch_block("repro.dispatch.v1"), "0" * 64),
+            # A block with a consistent digest but an unknown schema.
+            "unknown": (
+                unknown,
+                hashlib.sha256(
+                    json.dumps(unknown, sort_keys=True).encode("utf-8")
+                ).hexdigest(),
+            ),
+        }
+        for name, (block, digest) in legacy.items():
+            path = os.path.join(registry.resolve(name)[1], "artifact.json")
+            with open(path, encoding="utf-8") as fh:
+                manifest = json.load(fh)
+            manifest["dispatch"] = block
+            manifest["content"]["dispatch_sha256"] = digest
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh)
+
+        requests = make_requests(4, seed=11)
+
+        def serve(name):
+            with InferenceSession.from_registry(
+                registry, name, backend="sparse", session=SessionConfig(max_batch=4)
+            ) as session:
+                return session.infer_many(requests)
+
+        expected = serve("plain")
+        for name in legacy:
+            assert registry.load(name).plan_config == registry.load("plain").plan_config
+            for out, ref in zip(serve(name), expected):
+                np.testing.assert_array_equal(out, ref)
+        rows = registry.list_artifacts()
+        assert [row["name"] for row in rows] == ["mismatch", "plain", "unknown"]
+        assert main(["registry", "ls", "--registry", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out
+        assert "mismatch" in printed and "unknown" in printed
+
+    def test_removed_tuner_options_raise(self, monkeypatch):
+        from repro.serve import ProcPoolEngine
+
+        stack = build_conv_stack(0.5, width=8, depth=2, seed=0)
+        for backend in ("sparse", "auto", "adaptive", "dense"):
+            with pytest.raises(TypeError):
+                create_engine(stack, backend=backend, tuned=True)
+
+        def no_spawn(self, index, gen):
+            raise AssertionError("a worker process was spawned")
+
+        monkeypatch.setattr(ProcPoolEngine, "_spawn", no_spawn)
+        with pytest.raises(TypeError):
+            ProcPoolEngine(stack, proc_workers=1, dispatch_table=None)
+
+
+# ----------------------------------------------------------------------
 # InferenceSession
 # ----------------------------------------------------------------------
 class TestInferenceSession:
@@ -498,8 +583,6 @@ class TestInferenceSession:
             SessionConfig(batch_window_ms=-1.0)
         with pytest.raises(ValueError):
             SessionConfig(queue_depth=0)
-        with pytest.raises(ValueError):
-            SessionConfig(latency_window=0)
 
     def test_predict_validates_input_rank(self):
         with InferenceSession.from_model(

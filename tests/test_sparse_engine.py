@@ -14,7 +14,9 @@ Contract under test (see ``repro/core/sparse_exec.py``):
 import numpy as np
 import pytest
 
+from repro.core.engine import create_engine
 from repro.core.pruning import DynamicPruning, PruningConfig, instrument_model
+from repro.core.runtime_bench import build_conv_stack
 from repro.core.sparse_exec import (
     ExecutionPlan,
     PlanConfig,
@@ -423,3 +425,43 @@ class TestPerSampleBitIdentity:
         batched = executor(x)
         for i in range(5):
             np.testing.assert_array_equal(executor(x[i : i + 1]), batched[i : i + 1])
+
+
+# ----------------------------------------------------------------------
+# Per-strategy dispatch counters
+# ----------------------------------------------------------------------
+def test_dispatch_counters_fine_grained_and_legacy_agree(rng):
+    stack = build_conv_stack(0.5, width=16, depth=3, seed=0)
+    engine = create_engine(
+        stack,
+        backend="sparse",
+        config=PlanConfig(batch_invariant=True, dense_threshold=0.0),
+    )
+    engine(rng.normal(size=(4, 3, 16, 16)).astype(np.float32))
+    stats = engine.stats()
+    counts = stats["dispatch"]
+    assert set(counts) == {
+        "per_input",
+        "grouped",
+        "stacked",
+        "ragged",
+        "ragged_spatial",
+        "per_position",
+        "dense",
+    }
+    assert (
+        counts["per_input"] + counts["grouped"] + counts["stacked"]
+        + counts["per_position"]
+        == stats["sparse_dispatches"]
+    )
+    assert counts["ragged"] + counts["ragged_spatial"] == stats["ragged_dispatches"]
+    assert counts["dense"] == stats["dense_dispatches"]
+    assert sum(counts.values()) > 0
+
+
+def test_dispatch_counters_reset(rng):
+    stack = build_conv_stack(0.5, width=16, depth=2, seed=0)
+    engine = create_engine(stack, backend="sparse")
+    engine(rng.normal(size=(2, 3, 16, 16)).astype(np.float32))
+    engine.reset_stats()
+    assert sum(engine.stats()["dispatch"].values()) == 0

@@ -3,10 +3,11 @@
 Contract under test (see ``_ragged_spatial_conv`` in
 ``repro/core/sparse_exec.py``):
 
-* combined channel x spatial ``sparse_conv2d`` under ``"ragged_spatial"``
-  agrees with the per-sample gather baseline (``"per_position"``) to
-  floating-point round-off at kept positions, is **exactly zero** at
-  dropped positions, and is **bit-identical** to its own per-request
+* combined channel x spatial ``sparse_conv2d`` (kept-position bucketing,
+  the default) agrees with the per-sample gather baseline
+  (``strategy="per_position"``) to floating-point round-off at kept
+  positions, is **exactly zero** at dropped positions, and is
+  **bit-identical** to its own per-request
   execution for every batch composition, bucket-boundary kept-count,
   quantum, stride, and padded geometry;
 * :func:`repro.core.sparse_exec.output_keep_grid` maps input-column masks
@@ -16,11 +17,10 @@ Contract under test (see ``_ragged_spatial_conv`` in
   windows) carries spatial threshold masks end-to-end without changing a
   single response, and surfaces the ``ragged_spatial`` dispatch counter
   through session telemetry;
-* the dispatch tuner measures the spatial candidate family (per-position
-  oracle, quantum sweep) with zero rejected candidates, persists the
-  spatial strategies through the manifest, and the adaptive engine's
-  request bucket pairs the channel bucket with a pooled kept-position
-  bucket;
+* fixed top-k column sites dispatch the bucketed kernel under
+  ``ragged_mode="auto"`` and the per-position oracle under ``"never"``,
+  and the adaptive engine's request bucket pairs the channel bucket with
+  a pooled kept-position bucket;
 * ``FBSGate.mean_spatial_keep_pooled`` and
   ``DynamicPruning.mean_spatial_keep_pooled`` both go through
   :func:`repro.core.pruning.pooled_keep_fraction` — the FLOPs accounting
@@ -31,7 +31,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.dynamic import FBSGate
-from repro.core.dispatch import DispatchEntry, DispatchTable
 from repro.core.engine import create_engine
 from repro.core.masks import quantize_kept_count
 from repro.core.pruning import DynamicPruning, pooled_keep_fraction
@@ -44,8 +43,8 @@ from repro.core.sparse_exec import (
 )
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
-from repro.serve import InferenceSession, ModelRegistry, SessionConfig
-from repro.serve.bench import _mixed_threshold_stack, _spatial_threshold_stack
+from repro.serve import InferenceSession, SessionConfig
+from repro.serve.bench import _spatial_threshold_stack
 
 TIGHT = dict(rtol=1e-4, atol=1e-5)
 
@@ -109,7 +108,7 @@ class TestCombinedChannelSpatial:
         cm = _channel_mask(rng, n, cin)
         counts = rng.integers(1, h * w, size=n)
         sm = _spatial_mask(rng, h, w, counts)
-        ragged = _run(x, weight, bias, stride, padding, cm, sm, "ragged_spatial")
+        ragged = _run(x, weight, bias, stride, padding, cm, sm, None)
         perpos = _run(x, weight, bias, stride, padding, cm, sm, "per_position")
         np.testing.assert_allclose(ragged, perpos, **TIGHT)
         oh, ow = ragged.shape[2], ragged.shape[3]
@@ -126,11 +125,11 @@ class TestCombinedChannelSpatial:
         weight, bias = _conv_params(rng, cin, cout, kernel)
         cm = _channel_mask(rng, n, cin)
         sm = _spatial_mask(rng, h, w, rng.integers(0, h * w + 1, size=n))
-        batched = _run(x, weight, bias, stride, padding, cm, sm, "ragged_spatial")
+        batched = _run(x, weight, bias, stride, padding, cm, sm, None)
         for i in range(n):
             solo = _run(
                 x[i : i + 1], weight, bias, stride, padding,
-                cm[i : i + 1], sm[i : i + 1], "ragged_spatial",
+                cm[i : i + 1], sm[i : i + 1], None,
             )
             np.testing.assert_array_equal(batched[i : i + 1], solo)
 
@@ -141,11 +140,10 @@ class TestCombinedChannelSpatial:
         weight, bias = _conv_params(rng, cin, cout, kernel)
         cm = _channel_mask(rng, n, cin)
         sm = _spatial_mask(rng, h, w, rng.integers(1, h * w, size=n))
-        out = _run(x, weight, bias, stride, padding, cm, sm, "ragged_spatial")
+        out = _run(x, weight, bias, stride, padding, cm, sm, None)
         perm = rng.permutation(n)
         permuted = _run(
-            x[perm], weight, bias, stride, padding, cm[perm], sm[perm],
-            "ragged_spatial",
+            x[perm], weight, bias, stride, padding, cm[perm], sm[perm], None,
         )
         np.testing.assert_array_equal(permuted, out[perm])
 
@@ -159,14 +157,14 @@ class TestCombinedChannelSpatial:
         weight, bias = _conv_params(rng, cin, cout, kernel)
         cm = _channel_mask(rng, n, cin)
         sm = _spatial_mask(rng, h, w, counts)
-        ragged = _run(x, weight, bias, stride, padding, cm, sm, "ragged_spatial")
+        ragged = _run(x, weight, bias, stride, padding, cm, sm, None)
         perpos = _run(x, weight, bias, stride, padding, cm, sm, "per_position")
         np.testing.assert_allclose(ragged, perpos, **TIGHT)
         assert not ragged[0].any()  # nothing kept -> output exactly zero
         for i in range(n):
             solo = _run(
                 x[i : i + 1], weight, bias, stride, padding,
-                cm[i : i + 1], sm[i : i + 1], "ragged_spatial",
+                cm[i : i + 1], sm[i : i + 1], None,
             )
             np.testing.assert_array_equal(ragged[i : i + 1], solo)
 
@@ -180,14 +178,13 @@ class TestCombinedChannelSpatial:
         perpos = _run(x, weight, bias, stride, padding, None, sm, "per_position")
         for quantum in (1, 4, 16):
             out = _run(
-                x, weight, bias, stride, padding, None, sm, "ragged_spatial",
-                quantum=quantum,
+                x, weight, bias, stride, padding, None, sm, None, quantum=quantum,
             )
             np.testing.assert_allclose(out, perpos, **TIGHT)
             solo = np.concatenate([
                 _run(
                     x[i : i + 1], weight, bias, stride, padding, None,
-                    sm[i : i + 1], "ragged_spatial", quantum=quantum,
+                    sm[i : i + 1], None, quantum=quantum,
                 )
                 for i in range(n)
             ])
@@ -206,7 +203,7 @@ class TestCombinedChannelSpatial:
             dense = F.conv2d(
                 Tensor(x), Tensor(weight), Tensor(bias), stride, padding
             ).data
-        out = _run(x, weight, bias, stride, padding, None, sm, "ragged_spatial")
+        out = _run(x, weight, bias, stride, padding, None, sm, None)
         keep = output_keep_grid(sm, stride, out.shape[2], out.shape[3])
         for i in range(n):
             np.testing.assert_allclose(
@@ -293,109 +290,22 @@ class TestSpatialServing:
 
 
 # ----------------------------------------------------------------------
-# Dispatch tuner: spatial candidate family + persistence
+# Fixed top-k column sites: default kernel vs the pre-ragged dispatch
 # ----------------------------------------------------------------------
-class TestSpatialTuner:
-    def test_spatial_family_measured_no_rejects(self, rng):
-        stack, _ = _spatial_threshold_stack(0.5, 16, width=16, depth=3, seed=0)
-        config = PlanConfig(batch_invariant=True, dense_threshold=0.0)
-        calibration = rng.normal(size=(6, 3, 16, 16)).astype(np.float32)
-        default = create_engine(stack, backend="adaptive", config=config)
-        tuned = create_engine(
-            stack,
-            backend="adaptive",
-            config=config,
-            tuned=True,
-            calibration=calibration,
-            tune_repeats=1,
-        )
-        report = tuned.tune_report
-        assert report.rejected_total == 0
-        spatial_sites = [
-            r for r in report.reports
-            if str(r.geometry[7]).endswith("+spr")
-        ]
-        assert spatial_sites
-        for site in spatial_sites:
-            assert "per_position" in site.measured_ms
-            assert any(
-                label.startswith("ragged_spatial") for label in site.measured_ms
-            )
-            assert site.entry.strategy in ("ragged_spatial", "per_position", "dense")
-        # Tuning may legitimately flip the winning spatial strategy, which
-        # changes GEMM blocking; the outputs stay within round-off.
-        x = rng.normal(size=(4, 3, 16, 16)).astype(np.float32)
-        np.testing.assert_allclose(tuned(x), default(x), **TIGHT)
-
-    def test_mixed_stack_tunes_both_families(self, rng):
-        stack = _mixed_threshold_stack(16, 16, 3, 0)
-        calibration = rng.normal(size=(6, 3, 16, 16)).astype(np.float32)
-        tuned = create_engine(
-            stack,
-            backend="adaptive",
-            config=PlanConfig(batch_invariant=True, dense_threshold=0.0),
-            tuned=True,
-            calibration=calibration,
-            tune_repeats=1,
-        )
-        report = tuned.tune_report
-        assert report.rejected_total == 0
-        kinds = {str(r.geometry[7]) for r in report.reports}
-        assert any(kind.endswith("+spr") for kind in kinds)
-        assert "ragged" in kinds
-        channel_labels = set()
-        for site in report.reports:
-            if str(site.geometry[7]) == "ragged":
-                channel_labels.update(site.measured_ms)
-        # the channel quantum sweep ran alongside the spatial family
-        assert any(label.startswith("ragged@q") for label in channel_labels)
-
+class TestTopkColumns:
     @pytest.mark.parametrize(
         "mode, label", [("auto", "ragged_spatial"), ("never", "per_position")]
     )
-    def test_topk_column_baseline_names_untuned_strategy(self, rng, mode, label):
-        # Fixed top-k column sites: the tuner's baseline is the strategy
-        # the untuned plan runs — the bucketed kernel, or the per-sample
-        # gather loop only under the pre-ragged dispatch.
+    def test_dispatched_kernel(self, rng, mode, label):
+        # Fixed top-k column sites run the bucketed kernel, or the
+        # per-sample gather loop only under the pre-ragged dispatch.
         stack = build_conv_stack(0.4, spatial_ratio=0.5, width=8, depth=3, seed=0)
         config = PlanConfig(
             batch_invariant=True, dense_threshold=0.0, ragged_mode=mode
         )
-        calibration = rng.normal(size=(4, 3, 12, 12)).astype(np.float32)
-        untuned = create_engine(stack, backend="sparse", config=config)
-        untuned(calibration)
-        assert untuned.stats()["dispatch"][label] > 0
-        tuned = create_engine(
-            stack,
-            backend="sparse",
-            config=config,
-            tuned=True,
-            calibration=calibration,
-            tune_repeats=1,
-        )
-        report = tuned.tune_report
-        assert report.rejected_total == 0
-        spatial_sites = [
-            r for r in report.reports if str(r.geometry[7]).startswith("topk+sp")
-        ]
-        assert spatial_sites
-        for site in spatial_sites:
-            assert site.baseline_label == label
-            assert site.baseline_ms == site.measured_ms[label]
-
-    def test_manifest_roundtrip_spatial_strategies(self):
-        table = DispatchTable()
-        geo_a = (16, 16, 3, 1, 1, 16, 16, "none+spr", -1, "float32")
-        geo_b = (16, 16, 3, 1, 1, 8, 8, "none+sp40", -1, "float32")
-        table.add(
-            geo_a, DispatchEntry(strategy="ragged_spatial", kept_quantum=8)
-        )
-        table.add(geo_b, DispatchEntry(strategy="per_position"))
-        rebuilt = DispatchTable.from_manifest(table.to_manifest())
-        assert rebuilt == table
-        assert rebuilt.lookup(geo_a).strategy == "ragged_spatial"
-        assert rebuilt.lookup(geo_a).kept_quantum == 8
-        assert rebuilt.lookup(geo_b).strategy == "per_position"
+        engine = create_engine(stack, backend="sparse", config=config)
+        engine(rng.normal(size=(4, 3, 12, 12)).astype(np.float32))
+        assert engine.stats()["dispatch"][label] > 0
 
 
 # ----------------------------------------------------------------------
@@ -466,52 +376,3 @@ class TestPooledKeepUnification:
         assert pruner.mean_spatial_keep_pooled == pytest.approx(
             pooled_keep_fraction(pruner.last_spatial_mask, pruner.pool_between)
         )
-
-
-# ----------------------------------------------------------------------
-# Registry: per-strategy tuned summary (satellite 2)
-# ----------------------------------------------------------------------
-def test_list_artifacts_tuned_strategy_histogram(tmp_path):
-    table = DispatchTable()
-    table.add(
-        (16, 16, 3, 1, 1, 16, 16, "none+spr", -1, "float32"),
-        DispatchEntry(strategy="ragged_spatial", kept_quantum=8),
-    )
-    table.add(
-        (16, 16, 3, 1, 1, 8, 8, "ragged", -1, "float32"),
-        DispatchEntry(strategy="ragged", kept_quantum=2),
-    )
-    table.add(
-        (16, 16, 3, 1, 1, 4, 4, "ragged", -1, "float32"),
-        DispatchEntry(strategy="ragged", kept_quantum=4),
-    )
-    stack = build_conv_stack(0.5, width=16, depth=3, seed=0)
-    registry = ModelRegistry(str(tmp_path))
-    registry.save(
-        "demo",
-        stack,
-        arch={
-            "family": "conv_stack",
-            "channel_ratio": 0.5,
-            "width": 16,
-            "depth": 3,
-        },
-        dispatch=table,
-    )
-    registry.save(
-        "plain",
-        stack,
-        arch={
-            "family": "conv_stack",
-            "channel_ratio": 0.5,
-            "width": 16,
-            "depth": 3,
-        },
-    )
-    rows = {r["name"]: r for r in registry.list_artifacts()}
-    assert rows["demo"]["tuned_geometries"] == 3
-    assert rows["demo"]["tuned_strategies"] == {
-        "ragged": 2,
-        "ragged_spatial": 1,
-    }
-    assert rows["plain"]["tuned_strategies"] == {}
