@@ -2,7 +2,20 @@
 
 from __future__ import annotations
 
+import time
+from typing import Callable
+
 from repro.models import ResNet, vgg16
+
+
+def timed(fn: Callable[[], object], repeats: int = 3) -> float:
+    """Best-of-``repeats`` wall-clock seconds for ``fn()``."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def fresh_vgg(num_classes: int = 10, seed: int = 0):

@@ -15,31 +15,17 @@ Asserted shape claims:
 * the sparse pruned path beats the dense masked path outright;
 * runtime decreases monotonically as the pruning ratio rises;
 * mask-signature batching (``granularity="batch"``) beats disabling the
-  weight-slice cache on recurring masks;
-* the ``run_sparse_benchmark`` harness records a dense-vs-sparse win into
-  a ``BENCH_sparse.json`` document (the artifact ``repro bench-sparse``
-  writes at the repo root).
+  weight-slice cache on recurring masks.
 """
-
-import json
 
 import numpy as np
 import pytest
 
-from repro.core.runtime_bench import (
-    BENCH_SCHEMA,
-    build_conv_stack,
-    run_sparse_benchmark,
-    timed,
-    write_bench_json,
-)
 from repro.core.sparse_exec import PlanConfig, dense_reference_forward
+from repro.models import build_conv_stack as conv_stack
 from repro.serve import InferenceSession
 
-
-# The stack builder and timer are the same ones the recorded artifact uses,
-# so the benchmark and BENCH_sparse.json always measure identical models.
-conv_stack = build_conv_stack
+from .bench_utils import timed
 
 
 def session_for(stack, config=None):
@@ -112,31 +98,3 @@ def test_weight_slice_cache_pays_on_recurring_masks(benchmark, batch):
     # 15% margin: best-of-5 timings still jitter a few percent on a busy
     # single-core CI box, and the claim is "not slower", not "faster".
     assert t_cached <= t_uncached * 1.15, "weight-slice cache must not lose to re-gathering"
-
-
-def test_bench_harness_records_sparse_win(benchmark, tmp_path):
-    document = benchmark.pedantic(
-        lambda: run_sparse_benchmark(
-            ratios=(0.0, 0.9), batch_size=4, width=32, depth=3,
-            repeats=2, include_resnet=False,
-        ),
-        rounds=1, iterations=1,
-    )
-    path = tmp_path / "BENCH_sparse.json"
-    write_bench_json(document, str(path))
-    loaded = json.loads(path.read_text())
-    assert loaded["schema"] == BENCH_SCHEMA
-    rows = loaded["results"]
-    assert {row["model"] for row in rows} == {"conv_stack"}
-    assert {row["image_size"] for row in rows} == {32}
-    high = [row for row in rows if row["channel_ratio"] == 0.9]
-    assert high, "high-sparsity rows must be recorded"
-    for row in high:
-        assert row["speedup"] > 1.0, f"no wall-clock win recorded: {row}"
-        assert row["sparse_ms"] < row["dense_ms"]
-    # The grouped-vs-stacked summary (the CI perf-smoke signal) is present
-    # and covers every swept image size.
-    summary = loaded["summary"]
-    assert set(summary["by_image_size"]) == {"32"}
-    assert {"grouped", "per_input"} <= set(summary["by_image_size"]["32"])
-    assert isinstance(summary["grouped_not_below_stacked"], bool)

@@ -12,8 +12,8 @@ What must reproduce (and is asserted):
 * the dynamically-pruned model stays far above chance (TTD works);
 * the measured benchmark time is the *pruned* inference pass.
 
-Absolute accuracies are not comparable (synthetic data, slim width); see
-EXPERIMENTS.md.
+Absolute accuracies are not comparable with the paper's: the data is
+synthetic and the models are slim.
 """
 
 import pytest

@@ -18,8 +18,8 @@ PR 1 built the batched sparse engine; this example shows the serving stack
    threads share the compiled plan's read-only weights, each with its own
    workspace arena, and responses stay bit-identical.
 
-For the recorded artifact, run ``python -m repro.cli bench-serve`` which
-writes the same comparison to ``BENCH_serve.json``.
+Serving throughput and latency on the paper's Table I models are
+measured by ``perfbench/run.py`` (see ``perfbench/README.md``).
 """
 
 import tempfile
@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from repro.core.runtime_bench import build_conv_stack
+from repro.models import build_conv_stack
 from repro.serve import InferenceSession, ModelRegistry, SessionConfig
 
 REQUESTS = 48

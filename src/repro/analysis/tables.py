@@ -1,7 +1,7 @@
 """Table I row formatting and the paper's reference numbers.
 
-:data:`PAPER_TABLE1` transcribes the paper's Table I so benchmarks and
-EXPERIMENTS.md can print paper-vs-measured side by side.  FLOPs values are
+:data:`PAPER_TABLE1` transcribes the paper's Table I so benchmarks can
+print paper-vs-measured side by side.  FLOPs values are
 absolute (the paper's scientific-notation entries); accuracies in percent.
 """
 

@@ -8,21 +8,18 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli fig3 --arch resnet
     python -m repro.cli fig4
     python -m repro.cli autotune --target 30 --tolerance 0.15
-    python -m repro.cli bench-sparse --output BENCH_sparse.json
-    python -m repro.cli bench-sparse --smoke --image-size 64
     python -m repro.cli quick
     python -m repro.cli save-artifact --registry artifacts --name vgg-demo
     python -m repro.cli registry ls --registry artifacts
     python -m repro.cli serve --registry artifacts --model vgg-demo --synthetic 16 --workers 2
     python -m repro.cli serve --cascade --registry artifacts --family demo --calibrate 64 --synthetic 32
-    python -m repro.cli bench-serve --output BENCH_serve.json --workers 1,2
-    python -m repro.cli bench-cascade --smoke
 
-Every subcommand trains at harness scale (slim models, synthetic data) and
-prints paper-reported vs measured numbers; see EXPERIMENTS.md for how to
-read them.  All subcommands take ``--seed`` so runs are reproducible from
-the command line (weights, synthetic data, and benchmark streams all
-derive from it).
+The experiment subcommands (``table1``, ``fig2``–``fig4``, ``autotune``,
+``quick``) train at harness scale (slim models, synthetic data) and print
+paper-reported vs measured numbers.  All subcommands take ``--seed`` so
+runs are reproducible from the command line (weights, synthetic data, and
+request streams all derive from it).  Serving speed is measured by
+``perfbench/run.py`` (see ``perfbench/README.md``), not by this CLI.
 """
 
 from __future__ import annotations
@@ -172,68 +169,6 @@ def cmd_autotune(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_sparse(args: argparse.Namespace) -> int:
-    from .core.runtime_bench import run_sparse_benchmark, write_bench_json
-
-    try:
-        ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
-    except ValueError:
-        print(f"invalid --ratios {args.ratios!r} (expected e.g. 0.0,0.5,0.9)")
-        return 2
-    if any(not 0.0 <= r <= 1.0 for r in ratios):
-        print(f"invalid --ratios {args.ratios!r} (every ratio must be in [0, 1])")
-        return 2
-    try:
-        image_sizes = [int(s) for s in str(args.image_size).split(",") if s.strip()]
-    except ValueError:
-        print(f"invalid --image-size {args.image_size!r} (expected e.g. 32,64,128)")
-        return 2
-    if not image_sizes or any(s < 4 for s in image_sizes):
-        print(f"invalid --image-size {args.image_size!r} (sizes must be >= 4)")
-        return 2
-    document = run_sparse_benchmark(
-        ratios=ratios,
-        batch_size=args.batch_size,
-        image_sizes=image_sizes,
-        width=args.width,
-        depth=args.depth,
-        repeats=args.repeats,
-        include_resnet=not args.no_resnet,
-        seed=args.seed,
-        smoke=args.smoke,
-        profile=args.profile,
-    )
-    print(f"{'model':>12} {'masks':>6} {'ratio':>6} {'size':>5} {'dense(ms)':>10} "
-          f"{'sparse(ms)':>11} {'speedup':>8} {'cache h/m':>10}")
-    for row in document["results"]:
-        cache = row["cache"]
-        print(f"{row['model']:>12} {row['granularity']:>6} {row['channel_ratio']:>6.2f} "
-              f"{row['image_size']:>5} "
-              f"{row['dense_ms']:>10.1f} {row['sparse_ms']:>11.1f} "
-              f"{row['speedup']:>7.2f}x {cache['hits']:>5}/{cache['misses']}")
-    if args.profile:
-        from .obs import format_profile_table, merge_profiles
-
-        merged = merge_profiles(
-            row.get("profile", []) for row in document["results"]
-        )
-        print("\nper-geometry profile (hottest first):")
-        print(format_profile_table(merged))
-    write_bench_json(document, args.output)
-    print(f"\nrecorded {len(document['results'])} measurements to {args.output}")
-    summary = document["summary"]
-    for size, entry in summary["by_image_size"].items():
-        parts = ", ".join(f"{k} {v:.2f}x" for k, v in sorted(entry.items()))
-        print(f"  image {size}: {parts}")
-    if args.smoke and not summary["grouped_not_below_stacked"]:
-        print(
-            "PERF REGRESSION: grouped sparse path fell below "
-            f"{summary['grouped_regression_slack']:.0%} of the per-input path's speedup"
-        )
-        return 1
-    return 0
-
-
 def cmd_quick(args: argparse.Namespace) -> int:
     outcome = run_table1_setting("vgg16_cifar10", seed=args.seed, **FAST)
     print(
@@ -270,7 +205,7 @@ def _session_from_args(args: argparse.Namespace):
         )
     # No artifact named: serve a self-contained demo stack so the loop can
     # be exercised without a prior save-artifact run.
-    from .core.runtime_bench import build_conv_stack
+    from .models import build_conv_stack
 
     stack = build_conv_stack(0.6, width=16, depth=4, seed=args.seed)
     return InferenceSession.from_model(
@@ -601,250 +536,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    from .serve import run_serve_benchmark, write_serve_json
-
-    try:
-        windows = [int(w) for w in args.windows.split(",") if w.strip()]
-        workers = [int(w) for w in args.workers.split(",") if w.strip()]
-        proc_workers = [int(w) for w in args.proc_workers.split(",") if w.strip()]
-    except ValueError:
-        print("invalid --windows/--workers/--proc-workers "
-              "(expected e.g. 1,4,8,16 and 1,2 and 1,2,4)")
-        return 2
-    if any(w < 1 for w in windows) or not windows:
-        print(f"invalid --windows {args.windows!r} (every window must be >= 1)")
-        return 2
-    if any(w < 1 for w in workers) or not workers:
-        print(f"invalid --workers {args.workers!r} (every count must be >= 1)")
-        return 2
-    if any(w < 1 for w in proc_workers):
-        print(f"invalid --proc-workers {args.proc_workers!r} "
-              "(every count must be >= 1)")
-        return 2
-    document = run_serve_benchmark(
-        windows=windows,
-        requests=args.requests,
-        repeats=args.repeats,
-        channel_ratio=args.ratio,
-        include_vgg=not args.no_vgg,
-        include_resnet=not args.no_resnet,
-        seed=args.seed,
-        smoke=args.smoke,
-        workers=workers,
-        proc_workers=proc_workers,
-        profile=args.profile,
-    )
-    write_serve_json(document, args.output)
-    print(f"{'model':>11} {'backend':>8} {'window':>6} {'wkrs':>4} {'seq rps':>8} "
-          f"{'rps':>8} {'speedup':>8} "
-          f"{'p50(ms)':>8} {'p95(ms)':>8} {'occ':>5} {'exact':>6}")
-    for row in document["results"]:
-        print(f"{row['model']:>11} {row.get('backend', 'threads'):>8} "
-              f"{row['window']:>6} {row['workers']:>4} "
-              f"{row['sequential_rps']:>8.0f} "
-              f"{row['throughput_rps']:>8.0f} {row['speedup']:>7.2f}x "
-              f"{row['latency_ms']['p50']:>8.1f} {row['latency_ms']['p95']:>8.1f} "
-              f"{row['occupancy']:>5.2f} {str(row['bit_identical']):>6}")
-    if args.profile:
-        from .obs import format_profile_table, merge_profiles
-
-        merged = merge_profiles(
-            row.get("profile", []) for row in document["results"]
-        )
-        print("\nper-geometry profile (hottest first):")
-        print(format_profile_table(merged))
-    summary = document["summary"]
-    best = summary["best_speedup_at_window_ge_8"]
-    if best is not None:
-        print(f"\nbest micro-batched speedup at window >= 8: "
-              f"{best:.2f}x ({summary['best_window_row']}); "
-              f"bit-identical everywhere: {summary['bit_identical_all']}")
-    else:
-        print(f"\nno window >= 8 in the sweep; "
-              f"bit-identical everywhere: {summary['bit_identical_all']}")
-    if summary["bit_identical_procpool"] is not None:
-        print(f"procpool: bit-identical {summary['bit_identical_procpool']}, "
-              f"best speedup {summary['best_procpool_speedup']:.2f}x, "
-              f"respawns {summary['procpool_respawns']}")
-    print(f"recorded {len(document['results'])} measurements to {args.output}")
-    if args.smoke:
-        if not summary["bit_identical_all"]:
-            print("CONTRACT VIOLATION: serving outputs depended on batch "
-                  "composition, worker thread, or worker process")
-            return 1
-        if summary["bit_identical_procpool"] is False:
-            print("CONTRACT VIOLATION: procpool responses differ from "
-                  "in-process per-request execution")
-            return 1
-    return 0
-
-
-def cmd_bench_adaptive(args: argparse.Namespace) -> int:
-    from .serve import run_adaptive_benchmark, write_serve_json
-
-    try:
-        fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
-        image_sizes = [int(s) for s in str(args.image_size).split(",") if s.strip()]
-        workers = [int(w) for w in args.workers.split(",") if w.strip()]
-    except ValueError:
-        print("invalid --fractions/--image-size/--workers "
-              "(expected e.g. 0.5,1.0,1.5 and 32,64 and 1,2)")
-        return 2
-    if not fractions or any(f <= 0 for f in fractions):
-        print(f"invalid --fractions {args.fractions!r} (must be positive)")
-        return 2
-    if not image_sizes or any(s < 4 for s in image_sizes):
-        print(f"invalid --image-size {args.image_size!r} (sizes must be >= 4)")
-        return 2
-    if not workers or any(w < 1 for w in workers):
-        print(f"invalid --workers {args.workers!r} (every count must be >= 1)")
-        return 2
-    document = run_adaptive_benchmark(
-        fractions=fractions,
-        image_sizes=image_sizes,
-        batch_size=args.batch_size,
-        width=args.width,
-        depth=args.depth,
-        repeats=args.repeats,
-        seed=args.seed,
-        smoke=args.smoke,
-        workers=workers,
-    )
-    write_serve_json(document, args.output)
-    print(f"{'frac':>5} {'size':>5} {'keep':>5} {'dense(ms)':>10} {'fallbk(ms)':>11} "
-          f"{'ragged(ms)':>11} {'vs dense':>9} {'vs fallbk':>10} {'exact':>6}")
-    for row in document["results"]:
-        exact = row["bit_identical"] and all(
-            s["bit_identical"] for s in row["sessions"].values()
-        )
-        print(f"{row['threshold_fraction']:>5.2f} {row['image_size']:>5} "
-              f"{row['keep_fraction']:>5.2f} {row['dense_ms']:>10.1f} "
-              f"{row['fallback_ms']:>11.1f} {row['ragged_ms']:>11.1f} "
-              f"{row['speedup_vs_dense']:>8.2f}x {row['speedup_vs_fallback']:>9.2f}x "
-              f"{str(bool(exact)):>6}")
-    summary = document["summary"]
-    print(f"\nbest ragged speedup: {summary['best_speedup_vs_dense']:.2f}x vs dense, "
-          f"{summary['best_speedup_vs_fallback']:.2f}x vs per-input fallback; "
-          f"bit-identical everywhere (incl. workers=2): {summary['bit_identical_all']}")
-    if summary["ragged_beats_dense_at_keep_le_half"] is not None:
-        print(f"ragged beats dense at keep fraction <= 0.5: "
-              f"{summary['ragged_beats_dense_at_keep_le_half']}")
-
-    spatial = document["spatial"]
-    sp_summary = spatial["summary"]
-    print(f"\nspatial threshold masks (bucketed ragged-spatial vs per-position):")
-    print(f"{'keep':>5} {'size':>5} {'dense(ms)':>10} {'perpos(ms)':>11} "
-          f"{'ragged(ms)':>11} {'vs dense':>9} {'vs perpos':>10} {'exact':>6}")
-    for row in spatial["results"]:
-        print(f"{row['keep_fraction']:>5.2f} {row['image_size']:>5} "
-              f"{row['dense_ms']:>10.1f} {row['per_position_ms']:>11.1f} "
-              f"{row['ragged_spatial_ms']:>11.1f} "
-              f"{row['speedup_vs_dense']:>8.2f}x "
-              f"{row['speedup_vs_per_position']:>9.2f}x "
-              f"{str(bool(row['bit_identical'])):>6}")
-    print(f"spatial: best {sp_summary['best_speedup_vs_per_position']:.2f}x vs "
-          f"per-position, {sp_summary['best_speedup_vs_dense']:.2f}x vs dense; "
-          f"bit-identical per-sample everywhere: {sp_summary['bit_identical_all']}")
-    if sp_summary["ragged_spatial_beats_dense_at_keep_le_half"] is not None:
-        print(f"spatial ragged beats dense at keep <= 0.5 (sizes 32/64): "
-              f"{sp_summary['ragged_spatial_beats_dense_at_keep_le_half']}")
-    print(f"recorded {len(document['results'])} + {len(spatial['results'])} "
-          f"measurements to {args.output}")
-    if args.smoke:
-        if not summary["bit_identical_all"]:
-            print("CONTRACT VIOLATION: ragged serving outputs depended on batch "
-                  "composition or worker identity")
-            return 1
-        if not summary["ragged_not_below_fallback"]:
-            print("PERF REGRESSION: ragged path fell below "
-                  f"{summary['ragged_regression_slack']:.0%} of the per-input "
-                  "fallback's throughput")
-            return 1
-        if not sp_summary["bit_identical_all"]:
-            print("CONTRACT VIOLATION: ragged-spatial outputs depended on "
-                  "batch composition")
-            return 1
-        if not sp_summary["matches_per_position_all"]:
-            print("CONTRACT VIOLATION: ragged-spatial outputs diverged from "
-                  "the per-position oracle beyond round-off")
-            return 1
-        if not sp_summary["ragged_spatial_not_below_per_position"]:
-            print("PERF REGRESSION: ragged-spatial path fell below "
-                  f"{sp_summary['ragged_regression_slack']:.0%} of the "
-                  "per-position path's throughput")
-            return 1
-    return 0
-
-
-def cmd_bench_cascade(args: argparse.Namespace) -> int:
-    from .serve import run_cascade_benchmark, write_serve_json
-
-    try:
-        ladder = [float(r) for r in args.ladder.split(",") if r.strip()]
-        depths = [int(d) for d in args.depths.split(",") if d.strip()]
-        skews = [float(s) for s in args.skews.split(",") if s.strip()]
-    except ValueError:
-        print("invalid --ladder/--depths/--skews "
-              "(expected e.g. 0.7,0.4,0.0 and 2,3 and 0.0,0.5,0.9)")
-        return 2
-    if not ladder or any(not 0.0 <= r <= 1.0 for r in ladder):
-        print(f"invalid --ladder {args.ladder!r} (ratios must be in [0, 1])")
-        return 2
-    if not depths or any(d < 1 or d > len(ladder) + 1 for d in depths):
-        print(f"invalid --depths {args.depths!r} (each must be in "
-              f"[1, {len(ladder) + 1}] for this ladder)")
-        return 2
-    if not skews or any(not 0.0 <= s <= 1.0 for s in skews):
-        print(f"invalid --skews {args.skews!r} (must be in [0, 1])")
-        return 2
-    document = run_cascade_benchmark(
-        requests=args.requests,
-        repeats=args.repeats,
-        ladder=ladder,
-        depths=depths,
-        skews=skews,
-        gate=args.gate,
-        retention=args.retention,
-        epochs=args.epochs,
-        width=args.width,
-        depth=args.depth,
-        image_size=args.image_size,
-        train_per_class=args.train_per_class,
-        window=args.window,
-        workers=args.workers,
-        seed=args.seed,
-        smoke=args.smoke,
-    )
-    write_serve_json(document, args.output)
-    print(f"{'stages':>18} {'skew':>5} {'esc':>6} {'cascade(ms)':>12} "
-          f"{'densest(ms)':>12} {'speedup':>8} {'acc ret':>8} {'agree':>6} {'exact':>6}")
-    for row in document["results"]:
-        stages = "/".join(f"{r:.2f}" for r in row["stage_ratios"])
-        print(f"{stages:>18} {row['skew']:>5.2f} {row['fraction_escalated']:>6.2f} "
-              f"{row['cascade_ms']:>12.1f} {row['densest_ms']:>12.1f} "
-              f"{row['speedup']:>7.2f}x {row['accuracy_retention']:>8.3f} "
-              f"{row['retention_vs_densest']:>6.3f} {str(row['bit_identical']):>6}")
-    summary = document["summary"]
-    best = summary["best_speedup_at_target"]
-    print(f"\nrows at >= {summary['retention_floor']:.2f} accuracy retention: "
-          f"{summary['rows_at_target_retention']}; "
-          f"best speedup there: {('%.2fx' % best) if best is not None else 'n/a'}; "
-          f"escalations bit-identical to direct stage execution: "
-          f"{summary['bit_identical_all']}")
-    print(f"recorded {len(document['results'])} measurements to {args.output}")
-    if args.smoke:
-        if not summary["bit_identical_all"]:
-            print("CONTRACT VIOLATION: an escalated response differed from "
-                  "direct execution on the answering stage")
-            return 1
-        if not summary["cascade_beats_densest"]:
-            print("PERF REGRESSION: no cascade row beat the densest-only "
-                  "baseline at the target accuracy retention")
-            return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -886,31 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "sparsity_level) so `registry ls --family` and "
                              "cascade ladders can find it")
     p_auto.set_defaults(func=cmd_autotune)
-
-    p_bench = sub.add_parser(
-        "bench-sparse",
-        help="time dense vs batched sparse inference, record BENCH_sparse.json",
-    )
-    p_bench.add_argument("--output", default="BENCH_sparse.json")
-    p_bench.add_argument("--ratios", default="0.0,0.5,0.7,0.9",
-                         help="comma-separated channel pruning ratios")
-    p_bench.add_argument("--batch-size", type=int, default=8)
-    p_bench.add_argument("--image-size", default="32,64,128",
-                         help="comma-separated input resolutions to sweep "
-                              "(>= 64 exercises the large-feature-map regime)")
-    p_bench.add_argument("--width", type=int, default=64)
-    p_bench.add_argument("--depth", type=int, default=4)
-    p_bench.add_argument("--repeats", type=int, default=3)
-    p_bench.add_argument("--no-resnet", action="store_true",
-                         help="skip the ResNet sweep (conv stack only)")
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="CI perf smoke: conv stack at the highest ratio only; "
-                              "exit 1 if the grouped path regresses below the "
-                              "stacked path's speedup")
-    p_bench.add_argument("--profile", action="store_true",
-                         help="attach the per-op profiler and print a "
-                              "per-geometry time/bytes table (skews timings)")
-    p_bench.set_defaults(func=cmd_bench_sparse)
 
     p_quick = sub.add_parser("quick", help="one fast end-to-end sanity run")
     p_quick.set_defaults(func=cmd_quick)
@@ -1031,108 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--retention", type=float, default=0.99)
     p_trace.set_defaults(func=cmd_trace)
 
-    p_bserve = sub.add_parser(
-        "bench-serve",
-        help="micro-batched serving throughput sweep, record BENCH_serve.json",
-    )
-    p_bserve.add_argument("--output", default="BENCH_serve.json")
-    p_bserve.add_argument("--windows", default="1,4,8,16",
-                          help="comma-separated batch windows")
-    p_bserve.add_argument("--requests", type=int, default=64)
-    p_bserve.add_argument("--repeats", type=int, default=3)
-    p_bserve.add_argument("--ratio", type=float, default=0.6,
-                          help="channel pruning ratio for the served models")
-    p_bserve.add_argument("--no-vgg", action="store_true", help="skip the VGG16 subject")
-    p_bserve.add_argument("--no-resnet", action="store_true", help="skip the ResNet subject")
-    p_bserve.add_argument("--workers", default="1,2",
-                          help="comma-separated worker-thread counts to sweep")
-    p_bserve.add_argument("--proc-workers", default="",
-                          help="comma-separated worker-process counts for the "
-                               "procpool backend rows (e.g. 1,2,4; empty "
-                               "skips the process-pool sweep)")
-    p_bserve.add_argument("--smoke", action="store_true",
-                          help="tiny sweep for CI end-to-end checks; exits "
-                               "nonzero on any bit-identity violation "
-                               "(incl. the procpool backend)")
-    p_bserve.add_argument("--profile", action="store_true",
-                          help="attach the per-op profiler (merged across "
-                               "worker processes) and print a per-geometry "
-                               "table (skews timings)")
-    p_bserve.set_defaults(func=cmd_bench_serve)
-
-    p_badapt = sub.add_parser(
-        "bench-adaptive",
-        help="adaptive (threshold-mode) ragged serving sweep, record "
-             "BENCH_adaptive.json",
-    )
-    p_badapt.add_argument("--output", default="BENCH_adaptive.json")
-    p_badapt.add_argument("--fractions", default="0.5,0.75,1.0,1.1",
-                          help="comma-separated calibration fractions of the "
-                               "median attention (higher prunes harder)")
-    p_badapt.add_argument("--image-size", default="16,32,64",
-                          help="comma-separated input resolutions to sweep "
-                               "(16 is the high-QPS tier where bucketing "
-                               "pays most)")
-    p_badapt.add_argument("--batch-size", type=int, default=8)
-    p_badapt.add_argument("--width", type=int, default=64)
-    p_badapt.add_argument("--depth", type=int, default=4)
-    p_badapt.add_argument("--repeats", type=int, default=3)
-    p_badapt.add_argument("--workers", default="1,2",
-                          help="comma-separated session worker counts for the "
-                               "bit-identity rows")
-    p_badapt.add_argument("--smoke", action="store_true",
-                          help="CI smoke: single grid point per sweep (incl. "
-                               "the spatial block); exit 1 on a bit-identity "
-                               "violation or if the ragged / ragged-spatial "
-                               "path regresses below its per-input or "
-                               "per-position fallback")
-    p_badapt.set_defaults(func=cmd_bench_adaptive)
-
-    p_bcasc = sub.add_parser(
-        "bench-cascade",
-        help="confidence-gated cascade vs densest-only serving sweep, "
-             "record BENCH_cascade.json",
-    )
-    p_bcasc.add_argument("--output", default="BENCH_cascade.json")
-    p_bcasc.add_argument("--requests", type=int, default=128,
-                         help="requests per traffic stream")
-    p_bcasc.add_argument("--repeats", type=int, default=3,
-                         help="best-of-N timing repeats per stream")
-    p_bcasc.add_argument("--ladder", default="0.7,0.4,0.0",
-                         help="comma-separated prune ratios, sparsest first "
-                              "(0.0 = dense fallback, appended if missing)")
-    p_bcasc.add_argument("--depths", default="2,3",
-                         help="comma-separated ladder depths to sweep "
-                              "(depth d = first d-1 ladder rungs + dense)")
-    p_bcasc.add_argument("--skews", default="0.0,0.5,0.9",
-                         help="comma-separated easy-traffic skew levels "
-                              "(0 = uniform, 1 = only easy requests)")
-    p_bcasc.add_argument("--gate", default="msp",
-                         choices=["msp", "entropy", "margin"],
-                         help="confidence statistic the cascade gates on")
-    p_bcasc.add_argument("--retention", type=float, default=0.99,
-                         help="accuracy-retention target for gate calibration")
-    p_bcasc.add_argument("--epochs", type=int, default=3,
-                         help="training epochs for the shared-weight ladder")
-    p_bcasc.add_argument("--width", type=int, default=32)
-    p_bcasc.add_argument("--depth", type=int, default=3,
-                         help="conv-stack depth of every ladder stage")
-    p_bcasc.add_argument("--image-size", type=int, default=48,
-                         help="input resolution (>= 48 is the regime where "
-                              "sparse stages pay decisively)")
-    p_bcasc.add_argument("--train-per-class", type=int, default=48)
-    p_bcasc.add_argument("--window", type=int, default=8,
-                         help="micro-batch window per stage session")
-    p_bcasc.add_argument("--workers", type=int, default=1,
-                         help="worker threads per stage session")
-    p_bcasc.add_argument("--smoke", action="store_true",
-                         help="CI smoke: shallowest ladder, short streams; "
-                              "exit 1 if any escalated response is not "
-                              "bit-identical to direct stage execution or no "
-                              "cascade row beats the densest-only baseline at "
-                              "the (slack-adjusted) retention floor")
-    p_bcasc.set_defaults(func=cmd_bench_cascade)
-
     p_registry = sub.add_parser(
         "registry", help="inspect and maintain a model-artifact registry"
     )
@@ -1165,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sub_parser in sub.choices.values():
         sub_parser.add_argument("--seed", type=int, default=0,
-                                help="master seed for weights, data, and benchmarks")
+                                help="master seed for weights, data, and request streams")
     return parser
 
 

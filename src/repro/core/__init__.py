@@ -8,7 +8,6 @@
 * :mod:`~repro.core.flops` — static and mask-aware FLOPs accounting.
 * :mod:`~repro.core.sparse_exec` — batched, plan-compiled sparse inference.
 * :mod:`~repro.core.engine` — pluggable dense/sparse/auto backends + factory.
-* :mod:`~repro.core.runtime_bench` — dense-vs-sparse wall-clock harness.
 * :mod:`~repro.core.training` — shared train/eval loops.
 """
 

@@ -18,7 +18,7 @@ backends behind :func:`create_engine`:
     ratios and picks ``sparse`` when any site prunes at least
     ``auto_threshold`` of its dimension (gather savings beat overhead),
     falling back to ``dense`` for unpruned models or layer graphs the plan
-    compiler cannot handle.
+    compiler rejects (:class:`~repro.core.sparse_exec.UnsupportedGraphError`).
 ``adaptive``
     The ``sparse`` plan compiled with ``ragged_mode="always"``: every
     channel mask — adaptive threshold masks *and* fixed top-k masks —
@@ -58,6 +58,7 @@ from .sparse_exec import (
     PlanConfig,
     SparseResNetExecutor,
     SparseSequentialExecutor,
+    UnsupportedGraphError,
 )
 
 __all__ = [
@@ -166,7 +167,7 @@ def as_layer_stack(model: Module) -> Sequential:
     classifier = getattr(model, "classifier", None)
     if isinstance(features, Sequential) and pool is not None and classifier is not None:
         return Sequential(features, pool, classifier)
-    raise TypeError(
+    raise UnsupportedGraphError(
         f"{type(model).__name__} has no Sequential layer-stack view; "
         "pass a Sequential, a VGG-style model, or a ResNet"
     )
@@ -348,7 +349,7 @@ def _build_auto(
         # compiler rejects fall back to the non-invariant dense forward.
         try:
             return SparseEngine(inner, config, **kwargs)
-        except TypeError:
+        except UnsupportedGraphError:
             return DenseEngine(inner, config, **kwargs)
     if model_sparsity(inner) < auto_threshold:
         # Nothing (or next to nothing) to skip: the gather machinery cannot
@@ -356,7 +357,7 @@ def _build_auto(
         return DenseEngine(inner, config, **kwargs)
     try:
         return SparseEngine(inner, config, **kwargs)
-    except TypeError:
+    except UnsupportedGraphError:
         # Layer graph the plan compiler does not know — dense fallback.
         return DenseEngine(inner, config, **kwargs)
 

@@ -121,7 +121,18 @@ __all__ = [
     "dense_reference_forward",
     "output_keep_grid",
     "STACKED_PATH_MAX_POSITIONS",
+    "UnsupportedGraphError",
 ]
+
+
+class UnsupportedGraphError(TypeError):
+    """A layer graph the plan compiler cannot execute.
+
+    The ``auto`` engine backend falls back to the dense forward on this
+    error alone, so a ``TypeError`` raised for any other reason (a
+    mistyped keyword, a bug while compiling a supported graph) surfaces.
+    """
+
 
 #: Output-position cutoff for the stacked equal-kept-count fast path.
 #: Below it, a batch of distinct masks runs as one gather + one batched
@@ -960,18 +971,16 @@ class PlanConfig:
         ragged kept-counts the stacked/grouped paths cannot batch, and
         ``"always"`` forces it for every channel mask (the ``adaptive``
         engine backend).  Spatial masks — fixed top-k and adaptive alike
-        — run kept-position bucketing under both.  ``"never"`` preserves
-        the pre-ragged dispatch: adaptive channel batches degrade to
-        per-sample signature groups and every spatial mask runs the
-        per-sample ``per_position`` gather loop (the slow fallback the
-        benchmark measures against).
+        — run kept-position bucketing under both.  ``"never"`` is the
+        oracle dispatch tests compare against: adaptive channel batches
+        degrade to per-sample signature groups and every spatial mask
+        runs the per-sample ``per_position`` gather loop.
     kept_quantum:
         Bucket granularity for ragged execution: per-sample kept-counts
         are quantized up to the next multiple before bucketing.  Larger
         quanta mean fewer GEMM shapes and better arena reuse but more
-        zero-padded work per sample; ``4`` measured best across the
-        bench-adaptive grid (the padding tax stays under ~10% while
-        near-miss counts still share buckets).
+        zero-padded work per sample; ``4`` pads at most three channels
+        per sample while near-miss counts still share buckets.
     """
 
     fuse_conv_bn: bool = True
@@ -1563,7 +1572,9 @@ class ExecutionPlan:
             elif isinstance(layer, Identity):
                 i += 1
             else:
-                raise TypeError(f"ExecutionPlan cannot compile {type(layer).__name__}")
+                raise UnsupportedGraphError(
+                    f"ExecutionPlan cannot compile {type(layer).__name__}"
+                )
         return cls(ops, config)
 
     def run(self, x: np.ndarray) -> np.ndarray:
@@ -1647,7 +1658,7 @@ class SparseSequentialExecutor:
         self.layers: List[Module] = _flatten(layers)
         for layer in self.layers:
             if not isinstance(layer, supported):
-                raise TypeError(
+                raise UnsupportedGraphError(
                     f"SparseSequentialExecutor cannot interpret {type(layer).__name__}"
                 )
         self.plan = ExecutionPlan.compile(self.layers, config)

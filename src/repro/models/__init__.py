@@ -3,6 +3,7 @@
 from .base import PrunableModel, PruningPoint
 from .resnet import BasicBlock, ResNet, resnet8, resnet20, resnet56
 from .vgg import VGG, VGG11_BLOCKS, VGG16_BLOCKS, vgg11, vgg16, vgg16_slim
+from .conv_stack import build_conv_stack
 
 __all__ = [
     "PrunableModel",
@@ -18,4 +19,5 @@ __all__ = [
     "resnet8",
     "resnet20",
     "resnet56",
+    "build_conv_stack",
 ]

@@ -11,7 +11,8 @@ Three pillars, one spine:
   gauges, and fixed-bucket streaming histograms with Prometheus text
   exposition; every ``stats()`` surface is now a view over it.
 * :mod:`~repro.obs.profile` — the opt-in per-op :class:`PlanProfiler`
-  (wall time + bytes moved per geometry) behind ``bench-* --profile``.
+  (wall time + bytes moved per geometry) behind the per-layer table of
+  ``perfbench/run.py --trace 1``.
 
 :mod:`~repro.obs.runtime` holds the single module-level ``enabled``
 flag; with no tracer installed every hot-path hook is one attribute
@@ -28,8 +29,8 @@ from .metrics import (
     MetricsRegistry,
     global_registry,
 )
-from .profile import PlanProfiler, format_profile_table, merge_profiles
-from .quantiles import histogram_quantile, latency_summary_ms, median, quantile
+from .profile import PlanProfiler, merge_profiles
+from .quantiles import histogram_quantile
 from .trace import (
     SpanRecord,
     TraceContext,
@@ -53,9 +54,5 @@ __all__ = [
     "global_registry",
     "PlanProfiler",
     "merge_profiles",
-    "format_profile_table",
-    "quantile",
-    "median",
-    "latency_summary_ms",
     "histogram_quantile",
 ]

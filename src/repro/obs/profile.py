@@ -6,9 +6,11 @@ and the plan's conv ops feed it one record per dispatch: the op's
 memoized geometry tuple, the strategy that ran, the measured wall time,
 and the bytes the dispatch touched (input + weight + output).  The
 accumulator is constant-size per distinct ``(geometry, strategy)`` pair,
-so profiling a long bench run costs a dict lookup and a few float adds
+so profiling a long serving run costs a dict lookup and a few float adds
 per op — but it is still a timer call per conv, which is why it is
 opt-in and separate from the always-cheap dispatch counters.
+``perfbench/run.py --trace 1`` takes its per-kernel and per-block layer
+metrics from these snapshots.
 
 Snapshots merge across threads trivially (one profiler, one lock) and
 across *processes* via :meth:`snapshot` → ship → :meth:`merge` — the
@@ -20,7 +22,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-__all__ = ["PlanProfiler", "merge_profiles", "format_profile_table"]
+__all__ = ["PlanProfiler", "merge_profiles"]
 
 GeometryKey = Tuple[Any, ...]
 
@@ -105,30 +107,3 @@ def merge_profiles(
         if snapshot:
             merged.merge(snapshot)
     return merged.snapshot()
-
-
-def format_profile_table(rows: Iterable[Mapping[str, Any]], limit: int = 12) -> str:
-    """Human-readable profile table for ``bench-* --profile`` output."""
-    rows = list(rows)[:limit]
-    if not rows:
-        return "profile: no ops recorded"
-    header = (
-        f"{'geometry':<40} {'strategy':<14} {'calls':>7} "
-        f"{'total_ms':>9} {'ms/call':>8} {'GB/s':>6}"
-    )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        geo = row["geometry"]
-        # geometry 10-tuple: (in_c,out_c,k,stride,pad,h,w,kind,kept,dtype)
-        label = (
-            f"{geo[0]}→{geo[1]} k{geo[2]}s{geo[3]} {geo[5]}x{geo[6]} "
-            f"{geo[7]}/{geo[8]}"
-            if len(geo) >= 9
-            else str(tuple(geo))
-        )
-        lines.append(
-            f"{label:<40} {str(row['strategy']):<14} {row['calls']:>7d} "
-            f"{row['seconds'] * 1e3:>9.2f} {row['ms_per_call']:>8.3f} "
-            f"{row['gb_per_s']:>6.1f}"
-        )
-    return "\n".join(lines)

@@ -1,74 +1,19 @@
-"""One home for the quantile math the repo kept reimplementing.
+"""Streaming quantile estimates over fixed-bucket histogram counts.
 
-``serve/session.py``, ``serve/bench.py``, ``serve/cascade.py`` and
-``core/runtime_bench.py`` each grew their own p50/p95 calls (and three
-subtly different empty-list guards).  They now all route through here.
-
-Two families live side by side:
-
-* **Sample quantiles** (:func:`quantile`, :func:`median`,
-  :func:`latency_summary_ms`) over materialized value lists — linear
-  interpolation, matching ``np.percentile``'s default exactly, because
-  published bench JSON must not shift when call sites migrate.
-* **Streaming histogram quantiles** (:func:`histogram_quantile`) over
-  fixed-bucket counts — what the metrics registry uses to report
-  p50/p95/p99 without storing a single sample.  Estimates interpolate
-  linearly *within* the winning bucket and are clamped to the exact
-  observed min/max, so ``p95 >= p50 > 0`` holds whenever the
-  observations were positive.
+:func:`histogram_quantile` is what the metrics registry uses to report
+p50/p95/p99 without storing a single sample.  Estimates interpolate
+linearly *within* the winning bucket and are clamped to the exact
+observed min/max, so ``p95 >= p50 > 0`` holds whenever the observations
+were positive.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = [
-    "quantile",
-    "median",
-    "latency_summary_ms",
-    "histogram_quantile",
-]
-
-
-def quantile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th quantile (``q`` in [0, 1]) of ``values``.
-
-    Linear interpolation between order statistics — bit-compatible with
-    ``np.percentile(values, q * 100)``.  Raises on empty input, same as
-    numpy, because "the p95 of nothing" is a caller bug, not a zero.
-    """
-    if len(values) == 0:
-        raise ValueError("quantile() of empty sequence")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile q must be in [0, 1], got {q}")
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q * 100.0))
-
-
-def median(values: Sequence[float]) -> float:
-    """``quantile(values, 0.5)`` — matches ``np.median`` for float input."""
-    return quantile(values, 0.5)
-
-
-def latency_summary_ms(
-    seconds: Sequence[float],
-) -> Dict[str, float]:
-    """The serving layer's standard latency dict from per-request seconds.
-
-    Returns ``{"p50": ..., "p95": ..., "mean": ..., "max": ...}`` in
-    milliseconds, or all-zeros when no requests completed yet (sessions
-    report stats before traffic arrives; that is not an error).
-    """
-    if len(seconds) == 0:
-        return {"p50": 0.0, "p95": 0.0, "mean": 0.0, "max": 0.0}
-    values = np.asarray(seconds, dtype=np.float64) * 1e3
-    return {
-        "p50": float(np.percentile(values, 50.0)),
-        "p95": float(np.percentile(values, 95.0)),
-        "mean": float(values.mean()),
-        "max": float(values.max()),
-    }
+__all__ = ["histogram_quantile"]
 
 
 def histogram_quantile(

@@ -11,13 +11,11 @@ becomes an operable system here:
   per-session telemetry (latency quantiles, occupancy, cache hit rate).
 * :mod:`~repro.serve.cascade` — :class:`CascadeSession`, confidence-gated
   cascade serving over a sparsity-ordered family of registry artifacts
-  (``repro serve --cascade`` / ``repro bench-cascade``).
+  (``repro serve --cascade``).
 * :mod:`~repro.serve.loop` — the ``repro serve`` JSONL request loop.
 * :mod:`~repro.serve.procpool` — :class:`ProcPoolEngine`, the
   process-parallel engine pool with ``multiprocessing.shared_memory``
   tensor transport (``create_engine(backend="procpool")``).
-* :mod:`~repro.serve.bench` — the ``repro bench-serve`` throughput sweep
-  (``BENCH_serve.json``).
 
 Engine backends live one layer down in :mod:`repro.core.engine`; sessions
 build them through :func:`~repro.core.engine.create_engine`, so artifacts
@@ -32,15 +30,6 @@ from ..core.engine import (
     create_engine,
     model_sparsity,
     register_backend,
-)
-from .bench import (
-    ADAPTIVE_SCHEMA,
-    CASCADE_SCHEMA,
-    SERVE_SCHEMA,
-    run_adaptive_benchmark,
-    run_cascade_benchmark,
-    run_serve_benchmark,
-    write_serve_json,
 )
 from .cascade import (
     GATES,
@@ -88,13 +77,6 @@ __all__ = [
     "CalibrationReport",
     "GATES",
     "gate_confidence",
-    "SERVE_SCHEMA",
-    "ADAPTIVE_SCHEMA",
-    "CASCADE_SCHEMA",
-    "run_serve_benchmark",
-    "run_adaptive_benchmark",
-    "run_cascade_benchmark",
-    "write_serve_json",
     "decode_request",
     "serve_lines",
     "synthetic_request_lines",

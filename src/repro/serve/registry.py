@@ -48,9 +48,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..core.pruning import InstrumentedModel, PruningConfig, instrument_model
 from ..core.sparse_exec import PlanConfig
 from ..models.base import PrunableModel
+from ..models.conv_stack import build_conv_stack
 from ..models.resnet import ResNet
 from ..models.vgg import VGG
-from ..nn import Module, Sequential
+from ..nn import Module
 from ..nn.serialization import load_state_dict, save_state_dict
 
 __all__ = [
@@ -166,15 +167,9 @@ def _build_resnet(
     )
 
 
-def _build_conv_stack(**kwargs: Any) -> Sequential:
-    from ..core.runtime_bench import build_conv_stack
-
-    return build_conv_stack(**kwargs)
-
-
 register_arch("vgg", _build_vgg)
 register_arch("resnet", _build_resnet)
-register_arch("conv_stack", _build_conv_stack)
+register_arch("conv_stack", build_conv_stack)
 
 
 def infer_arch(model: Module) -> Dict[str, Any]:

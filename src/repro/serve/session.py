@@ -5,8 +5,7 @@ owns an engine (any :class:`~repro.core.engine.EngineProtocol` backend), a
 bounded request queue, and N worker threads that **micro-batch** waiting
 requests before each engine call.  Fusing concurrent callers' requests is
 what lets the engine's mask-signature batching amortize *across callers* —
-one im2col/GEMM per mask group per window instead of per request — which
-is where the ≥3x serving throughput in ``BENCH_serve.json`` comes from.
+one im2col/GEMM per mask group per window instead of per request.
 
 Scheduling model (three knobs):
 

@@ -20,8 +20,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.runtime_bench import build_conv_stack
 from repro.core.sparse_exec import PlanConfig
+from repro.models import build_conv_stack
 from repro.nn.functional import predictive_entropy, softmax_probs, top2_margin
 from repro.serve import (
     ArtifactNotFoundError,

@@ -99,6 +99,13 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_retired_bench_commands_rejected(self):
+        # Serving speed is measured by perfbench/run.py alone.
+        for command in ("bench-sparse", "bench-serve", "bench-adaptive", "bench-cascade"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args([command])
+            assert excinfo.value.code == 2
+
     def test_unknown_setting_errors(self, capsys):
         assert main(["table1", "--setting", "nope", "--fast"]) == 2
         assert "unknown setting" in capsys.readouterr().out

@@ -22,7 +22,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.runtime_bench import build_conv_stack
 from repro.obs import (
     Counter,
     Gauge,
@@ -32,16 +31,13 @@ from repro.obs import (
     PlanProfiler,
     Tracer,
     chrome_trace_events,
-    format_profile_table,
     global_registry,
     histogram_quantile,
-    latency_summary_ms,
-    median,
     merge_profiles,
-    quantile,
     trace_coverage,
 )
 from repro.obs import runtime as obs_runtime
+from repro.models import build_conv_stack
 from repro.obs.trace import ATTRS, NAME, PARENT_ID, SPAN_ID, TRACE_ID
 from repro.serve import InferenceSession, SessionConfig, create_engine
 
@@ -58,29 +54,6 @@ def clean_obs_runtime():
 # Quantiles
 # ----------------------------------------------------------------------
 class TestQuantiles:
-    def test_quantile_matches_numpy_percentile(self, rng):
-        values = rng.normal(size=257).tolist()
-        for q in (0.0, 0.25, 0.5, 0.95, 0.99, 1.0):
-            assert quantile(values, q) == pytest.approx(
-                float(np.percentile(values, q * 100.0))
-            )
-
-    def test_median_matches_numpy(self, rng):
-        values = rng.normal(size=64)
-        assert median(values) == pytest.approx(float(np.median(values)))
-
-    def test_quantile_raises_on_empty(self):
-        with pytest.raises(ValueError):
-            quantile([], 0.5)
-
-    def test_latency_summary_shape_and_zeros(self):
-        empty = latency_summary_ms([])
-        assert empty == {"p50": 0.0, "p95": 0.0, "mean": 0.0, "max": 0.0}
-        summary = latency_summary_ms([0.001, 0.002, 0.003])
-        assert summary["p50"] == pytest.approx(2.0)
-        assert summary["max"] == pytest.approx(3.0)
-        assert summary["p95"] >= summary["p50"] > 0.0
-
     def test_histogram_quantile_clamped_to_envelope(self):
         bounds = (1.0, 10.0, 100.0)
         counts = [5, 0, 0, 0]  # everything in the first bucket
@@ -247,8 +220,12 @@ class TestProfiler:
         assert by_strategy["ragged"]["calls"] == 2
         assert by_strategy["ragged"]["seconds"] == pytest.approx(0.003)
         assert merged[0]["strategy"] == "dense"  # hottest first
-        table = format_profile_table(merged)
-        assert "16→32" in table and "ragged" in table
+        # JSON-ready rows: geometry as a list, derived rates filled in.
+        row = by_strategy["ragged"]
+        assert row["geometry"] == list(self.GEO)
+        assert row["ms_per_call"] == pytest.approx(1.5)
+        assert row["mbytes"] == pytest.approx(0.0015)
+        assert row["gb_per_s"] == pytest.approx(0.0005)
 
     def test_kernel_overhead_skipped_when_disabled(self, monkeypatch):
         """The hot path must not compute its geometry key when disabled.

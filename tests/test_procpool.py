@@ -17,8 +17,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.runtime_bench import build_conv_stack
 from repro.core.sparse_exec import PlanConfig
+from repro.models import build_conv_stack
 from repro.serve.procpool import BLAS_THREAD_ENV
 from repro.serve import (
     InferenceSession,

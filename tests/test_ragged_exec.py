@@ -28,7 +28,6 @@ from repro.core.masks import (
     threshold_mask,
 )
 from repro.core.pruning import DynamicPruning, PruningConfig, instrument_model
-from repro.core.runtime_bench import build_conv_stack
 from repro.core.sparse_exec import (
     PlanConfig,
     SparseResNetExecutor,
@@ -37,6 +36,7 @@ from repro.core.sparse_exec import (
     dense_reference_forward,
     sparse_conv2d,
 )
+from repro.models import build_conv_stack
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 

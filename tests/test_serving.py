@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core.pruning import DynamicPruning, PruningConfig, instrument_model
-from repro.core.runtime_bench import build_conv_stack
-from repro.core.sparse_exec import PlanConfig, SparseSequentialExecutor
-from repro.models import ResNet, vgg16
+from repro.core.sparse_exec import ExecutionPlan, PlanConfig, SparseSequentialExecutor
+from repro.models import ResNet, build_conv_stack, vgg16
+from repro.nn import AvgPool2d, Sequential
 from repro.serve import (
     ArtifactNotFoundError,
     DenseEngine,
@@ -73,6 +73,28 @@ class TestEngineFactory:
         unpruned = build_conv_stack(0.0)
         assert isinstance(create_engine(pruned, "auto"), SparseEngine)
         assert isinstance(create_engine(unpruned, "auto"), DenseEngine)
+
+    def test_auto_mistyped_keyword_raises_sparse_engines_error(self):
+        with pytest.raises(TypeError, match="bogus") as excinfo:
+            create_engine(build_conv_stack(0.5), "auto", bogus=1)
+        # SparseEngine's own error, not DenseEngine's raised while
+        # handling (and hiding) it.
+        assert excinfo.value.__context__ is None
+
+    def test_auto_propagates_plain_type_error_from_compilation(self, monkeypatch):
+        def broken(cls, layers, config=None):
+            raise TypeError("bug while compiling")
+
+        monkeypatch.setattr(ExecutionPlan, "compile", classmethod(broken))
+        for config in (None, PlanConfig(batch_invariant=True)):
+            with pytest.raises(TypeError, match="bug while compiling"):
+                create_engine(build_conv_stack(0.6), "auto", config=config)
+
+    def test_auto_falls_back_to_dense_on_unsupported_graph(self):
+        layers = list(build_conv_stack(0.6, width=8, depth=3))
+        stack = Sequential(*layers[:4], AvgPool2d(2), *layers[4:])
+        for config in (None, PlanConfig(batch_invariant=True)):
+            assert isinstance(create_engine(stack, "auto", config=config), DenseEngine)
 
     def test_model_sparsity_reads_active_sites(self):
         assert model_sparsity(build_conv_stack(0.0)) == 0.0
@@ -608,19 +630,31 @@ class TestInferenceSession:
 # ----------------------------------------------------------------------
 class TestMultiWorkerSession:
     def test_outputs_bit_identical_across_worker_counts(self):
-        stack = build_conv_stack(0.6, width=16, depth=3)
-        engine = create_engine(stack, "sparse", config=PlanConfig(batch_invariant=True))
-        assert engine.thread_safe
-        requests = make_requests(24, image_size=16, seed=21)
-        reference = [engine(r) for r in requests]
-        for workers in (1, 2, 4):
-            with InferenceSession(
-                engine,
-                SessionConfig(max_batch=4, batch_window_ms=5.0, workers=workers),
-            ) as session:
-                outputs = session.infer_many(requests)
-            for out, ref in zip(outputs, reference):
-                np.testing.assert_array_equal(out, ref)
+        # A VGG16 and a ResNet with top-k channel sites beside the conv
+        # stack: windows of 4 at 1, 2 and 4 workers must answer exactly
+        # as per-request execution does.
+        subjects = [
+            ("conv_stack", build_conv_stack(0.6, width=16, depth=3), 16),
+            ("vgg16", slim_vgg_handle(), 32),
+            ("resnet", slim_resnet_handle(), 32),
+        ]
+        for name, model, image_size in subjects:
+            engine = create_engine(
+                model, "sparse", config=PlanConfig(batch_invariant=True)
+            )
+            assert engine.thread_safe
+            requests = make_requests(24, image_size=image_size, seed=21)
+            reference = [engine(r) for r in requests]
+            for workers in (1, 2, 4):
+                with InferenceSession(
+                    engine,
+                    SessionConfig(max_batch=4, batch_window_ms=5.0, workers=workers),
+                ) as session:
+                    outputs = session.infer_many(requests)
+                for out, ref in zip(outputs, reference):
+                    np.testing.assert_array_equal(
+                        out, ref, err_msg=f"{name} at {workers} workers"
+                    )
 
     def test_concurrent_submitters_get_their_own_answers(self):
         import threading

@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.engine import create_engine
 from repro.core.pruning import DynamicPruning, PruningConfig, instrument_model
-from repro.core.runtime_bench import build_conv_stack
 from repro.core.sparse_exec import (
     ExecutionPlan,
     PlanConfig,
@@ -28,6 +27,7 @@ from repro.core.sparse_exec import (
     mask_signature,
     sparse_conv2d,
 )
+from repro.models import build_conv_stack
 from repro.nn import BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, ReLU, Sequential, Tensor, no_grad
 from repro.nn import functional as F
 

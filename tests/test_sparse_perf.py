@@ -1,7 +1,7 @@
 """Regression perf smoke tests for the batched sparse engine.
 
 These are guardrails, not benchmarks (see ``benchmarks/test_sparse_runtime.py``
-and ``repro bench-sparse`` for measurement): at high sparsity the batched
+and ``perfbench/run.py`` for measurement): at high sparsity the batched
 executor must never lose to the dense reference, or the fast path has
 silently regressed to per-sample work.
 """
@@ -11,13 +11,12 @@ import time
 import numpy as np
 
 from repro.core.pruning import PruningConfig, instrument_model
-from repro.core.runtime_bench import build_conv_stack
 from repro.core.sparse_exec import (
     SparseResNetExecutor,
     SparseSequentialExecutor,
     dense_reference_forward,
 )
-from repro.models import ResNet
+from repro.models import ResNet, build_conv_stack
 from repro.nn import Tensor, no_grad
 
 

@@ -34,17 +34,16 @@ from repro.baselines.dynamic import FBSGate
 from repro.core.engine import create_engine
 from repro.core.masks import quantize_kept_count
 from repro.core.pruning import DynamicPruning, pooled_keep_fraction
-from repro.core.runtime_bench import build_conv_stack
 from repro.core.sparse_exec import (
     PlanConfig,
     dense_reference_forward,
     output_keep_grid,
     sparse_conv2d,
 )
+from repro.models import build_conv_stack
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 from repro.serve import InferenceSession, SessionConfig
-from repro.serve.bench import _spatial_threshold_stack
 
 TIGHT = dict(rtol=1e-4, atol=1e-5)
 
@@ -78,6 +77,65 @@ def _spatial_mask(rng, h, w, counts):
         idx = rng.choice(h * w, size=count, replace=False)
         mask[i].reshape(-1)[idx] = True
     return mask
+
+
+def _capture_site_scores(stack, pruners, calib):
+    """One calibration forward, returning each site's raw score arrays.
+
+    Temporarily wraps every pruner's criterion to record the
+    ``(channel_scores, spatial_scores)`` pair it computes, without
+    changing what the forward pass does.
+    """
+    captured = {}
+    saved = []
+    for index, pruner in enumerate(pruners):
+        original = pruner._score
+        saved.append((pruner, original))
+
+        def wrapped(fm, _index=index, _orig=original):
+            scores = _orig(fm)
+            captured[_index] = scores
+            return scores
+
+        pruner._score = wrapped
+    try:
+        dense_reference_forward(stack, calib)
+    finally:
+        for pruner, original in saved:
+            pruner._score = original
+    return captured
+
+
+def _spatial_threshold_stack(keep, image_size, width, depth, seed):
+    """A conv stack whose sites prune *spatially* in threshold mode.
+
+    Each site's threshold is placed at the ``(1 - keep)`` quantile of its
+    spatial attention over one calibration batch of 8, so the mean kept
+    fraction lands near ``keep`` while per-sample kept-position counts
+    still vary.  Channel pruning is off, so every conv sees a pure
+    spatial threshold mask.
+    """
+    stack = build_conv_stack(
+        0.0, spatial_ratio=0.5, width=width, depth=depth, seed=seed
+    )
+    pruners = [m for m in stack.modules() if isinstance(m, DynamicPruning)]
+    for pruner in pruners:
+        pruner.mask_mode = "threshold"
+        pruner.threshold = 0.0  # keep everything until calibrated
+    calib = np.random.default_rng(seed + 11).normal(
+        size=(8, 3, image_size, image_size)
+    ).astype(np.float32)
+    # Calibrate sites *sequentially*: each site's pruning shifts the score
+    # distribution every deeper site sees, so a one-shot calibration
+    # compounds into far lower keeps than asked for.
+    for index, pruner in enumerate(pruners):
+        spatial_scores = _capture_site_scores(stack, pruners, calib)[index][1]
+        pruner.threshold = float(
+            np.percentile(np.asarray(spatial_scores, dtype=np.float64), (1.0 - keep) * 100.0)
+        )
+    for pruner in pruners:
+        pruner.reset_stats()
+    return stack, pruners
 
 
 def _run(x, weight, bias, stride, padding, cm, sm, strategy, quantum=4):
