@@ -13,10 +13,10 @@ Asserted shape claims:
   faster than the same engine with pruning off (i.e. the saving comes
   from the masks, not from engine overhead differences);
 * the sparse pruned path beats the dense masked path outright;
-* runtime decreases monotonically as the pruning ratio rises;
-* mask-signature batching (``granularity="batch"``) beats disabling the
-  weight-slice cache on recurring masks.
+* runtime decreases monotonically as the pruning ratio rises.
 """
+
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -28,11 +28,9 @@ from repro.serve import InferenceSession
 from .bench_utils import timed
 
 
-def session_for(stack, config=None):
+def session_for(stack):
     """Engine access as deployments get it: a session's synchronous path."""
-    return InferenceSession.from_model(
-        stack, backend="sparse", plan=config or PlanConfig()
-    )
+    return InferenceSession.from_model(stack, backend="sparse", plan=PlanConfig())
 
 
 @pytest.fixture(scope="module")
@@ -67,34 +65,16 @@ def test_sparse_beats_dense_masked(benchmark, batch):
 
 def test_runtime_monotone_in_ratio(benchmark):
     batch = np.random.default_rng(2).normal(size=(4, 3, 32, 32)).astype(np.float32)
-    times = {}
-    for ratio in (0.0, 0.5, 0.9):
-        with session_for(conv_stack(ratio, 0.0)) as session:
-            times[ratio] = timed(lambda: session.predict(batch))
-    with session_for(conv_stack(0.9, 0.0)) as timed_session:
-        benchmark.pedantic(
-            lambda: timed_session.predict(batch), rounds=1, iterations=1
-        )
+    ratios = (0.0, 0.5, 0.9)
+    with ExitStack() as stack:
+        sessions = {r: stack.enter_context(session_for(conv_stack(r, 0.0))) for r in ratios}
+        # The sessions run in alternation, round by round, so a scheduler
+        # stall or a shift in machine load lands on every ratio alike; each
+        # ratio keeps its best of 7 rounds.
+        times = dict.fromkeys(ratios, float("inf"))
+        for _ in range(7):
+            for ratio, session in sessions.items():
+                times[ratio] = min(times[ratio], timed(lambda: session.predict(batch), repeats=1))
+        benchmark.pedantic(lambda: sessions[0.9].predict(batch), rounds=1, iterations=1)
     print("\n[ratio sweep] " + "  ".join(f"r={r}: {t * 1e3:.1f}ms" for r, t in times.items()))
     assert times[0.9] < times[0.5] < times[0.0] * 1.05
-
-
-def test_weight_slice_cache_pays_on_recurring_masks(benchmark, batch):
-    # Batch-granularity masks repeat the same signature every call, so the
-    # steady-state gather cost must be covered by the cache.
-    stack = conv_stack(0.8, 0.0, granularity="batch")
-    with session_for(stack, PlanConfig(cache_entries=256)) as cached, \
-            session_for(stack, PlanConfig(cache_entries=1)) as uncached:
-        cached.predict(batch)
-        uncached.predict(batch)
-
-        t_cached = benchmark.pedantic(lambda: cached.predict(batch), rounds=3, iterations=1)
-        t_cached = timed(lambda: cached.predict(batch), repeats=5)
-        t_uncached = timed(lambda: uncached.predict(batch), repeats=5)
-        stats = cached.stats()["engine"]["cache"]
-    print(f"\n[slice cache] cached {t_cached * 1e3:.1f}ms vs evicting "
-          f"{t_uncached * 1e3:.1f}ms (hits {stats['hits']}, misses {stats['misses']})")
-    assert stats["hits"] > 0
-    # 15% margin: best-of-5 timings still jitter a few percent on a busy
-    # single-core CI box, and the claim is "not slower", not "faster".
-    assert t_cached <= t_uncached * 1.15, "weight-slice cache must not lose to re-gathering"

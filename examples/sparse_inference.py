@@ -13,7 +13,7 @@ PR 1 built the batched sparse engine; this example shows the serving stack
    one-request-at-a-time execution (``batch_invariant`` plans make batch
    composition unobservable);
 4. time one-at-a-time vs micro-batched serving and print the session
-   telemetry (latency quantiles, occupancy, cache hit rate);
+   telemetry (latency quantiles, occupancy, kernel dispatch counts);
 5. run the same traffic through a **multi-worker** session (PR 3): N
    threads share the compiled plan's read-only weights, each with its own
    workspace arena, and responses stay bit-identical.
@@ -56,7 +56,7 @@ def main() -> None:
         )
 
         # One-at-a-time reference (and the bit-exactness oracle).
-        session.predict(np.concatenate(requests[:8]))  # warm plan + cache
+        session.predict(np.concatenate(requests[:8]))  # warm plan + workspace
         start = time.perf_counter()
         reference = [session.predict(r) for r in requests]
         t_seq = time.perf_counter() - start
@@ -77,15 +77,13 @@ def main() -> None:
               f"occupancy {stats['occupancy']:.2f}, "
               f"p50 {stats['latency_ms']['p50']:.2f}ms, "
               f"p95 {stats['latency_ms']['p95']:.2f}ms")
-        cache = stats["engine"]["cache"]
-        total = cache["hits"] + cache["misses"]
-        print(f"weight-slice cache: {cache['hits']}/{total} hits "
-              f"({cache['entries']} entries)")
+        dispatch = {k: v for k, v in stats["engine"]["dispatch"].items() if v}
+        print(f"conv kernel dispatches: {dispatch}")
         session.close()
 
         print("\n== multi-worker session (same contract, N threads) ==")
-        # Plan-backed engines are thread-safe: read-only fused weights,
-        # per-thread workspace arenas, a locked weight-slice cache.  Which
+        # Plan-backed engines are thread-safe: read-only fused weights and
+        # per-thread workspace arenas.  Which
         # worker runs a window is as unobservable as batch composition.
         session = InferenceSession.from_registry(
             registry, "conv-demo", backend="sparse",
@@ -103,9 +101,9 @@ def main() -> None:
         session.close()
 
     print(
-        "\nMicro-batching is where the engine's mask-signature batching"
+        "\nMicro-batching is where the engine's kept-count grouping"
         "\namortizes across callers: requests that share a window run as"
-        "\none im2col/GEMM per mask group, while batch-invariant plans keep"
+        "\none batched GEMM per kept-count group, while batch-invariant plans keep"
         "\nevery response bit-identical to solo execution — batching is an"
         "\ninvisible scheduling detail, exactly what a serving API must"
         "\nguarantee."

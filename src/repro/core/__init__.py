@@ -50,10 +50,7 @@ from .sparse_exec import (
     ResNetPlan,
     SparseResNetExecutor,
     SparseSequentialExecutor,
-    WeightSliceCache,
     dense_reference_forward,
-    group_by_mask_signature,
-    mask_signature,
     sparse_conv2d,
 )
 from .training import EpochStats, evaluate, fit, train_epoch
@@ -96,9 +93,6 @@ __all__ = [
     "block_sensitivity",
     "suggest_upper_bounds",
     "sparse_conv2d",
-    "mask_signature",
-    "group_by_mask_signature",
-    "WeightSliceCache",
     "PlanConfig",
     "ExecutionPlan",
     "ResNetPlan",

@@ -83,9 +83,9 @@ class EngineProtocol:
     layer only relies on these four members):
 
     * :meth:`forward` / ``__call__`` — run a batch, return logits.
-    * :meth:`stats` — backend counters (dispatches, cache hits/misses).
+    * :meth:`stats` — backend counters (dispatches, workspace).
     * :meth:`reset_stats` — zero the counters *without* losing warmed
-      state (compiled plans and cached weight slices survive).
+      state (compiled plans and workspace buffers survive).
     * :meth:`describe` — human-readable execution recipe.
 
     ``thread_safe`` declares whether concurrent :meth:`forward` calls are
@@ -253,9 +253,8 @@ class SparseEngine(EngineProtocol):
     :class:`~repro.core.sparse_exec.ExecutionPlan`.
 
     Thread-safe: the compiled plan's weights are read-only after
-    compilation, scratch lives in per-thread workspace arenas, and the
-    weight-slice cache is locked — so N session workers can run one
-    engine concurrently.  (Caveat: a model carrying the *stochastic*
+    compilation and scratch lives in per-thread workspace arenas, so N
+    session workers can run one engine concurrently.  (Caveat: a model carrying the *stochastic*
     ``random`` pruning criterion shares one RNG across callers; serving
     uses deterministic criteria.)
     """
@@ -282,7 +281,9 @@ class SparseEngine(EngineProtocol):
             "sparse_dispatches": self.plan.sparse_dispatches,
             "ragged_dispatches": self.plan.ragged_dispatches,
             "dispatch": dict(self.plan.dispatch_counts),
-            "cache": dict(self.plan.cache_stats),
+            # All zeros; read only by perfbench/layers.py, which reports
+            # them as cache.hit_ratio and cache.entries.
+            "cache": {"hits": 0, "misses": 0, "entries": 0},
             "workspace": self.plan.arena_stats(),
         }
         profiler = getattr(self.plan, "profiler", None)
@@ -369,13 +370,14 @@ def _build_adaptive(
 ) -> EngineProtocol:
     """Plan-backed engine with kept-count-bucketed execution forced on.
 
-    ``ragged_mode="always"`` makes every :class:`DynamicPruning` channel
-    mask — threshold *and* top-k — run through the padded bucket GEMMs,
-    so mixed adaptive/static deployments use one uniform dispatch.  (FBS
+    ``ragged_mode="always"`` makes the channel kernel round every
+    :class:`DynamicPruning` channel mask's kept counts — threshold *and*
+    top-k — up to ``kept_quantum``, so mixed adaptive/static deployments
+    group one uniform way.  (FBS
     :class:`~repro.baselines.dynamic.FBSGate` masks are fixed-ratio top-k
     with equal kept-counts by construction; they compile on this backend
-    too but keep their signature-grouped dispatch — there is no
-    raggedness to bucket.)  The graph must be compilable: unlike ``auto``
+    too but keep exact-count grouping — there is no raggedness to
+    bucket.)  The graph must be compilable: unlike ``auto``
     there is no dense fallback, because a dense fallback could not honor
     the ragged batch-invariance contract this backend is chosen for.
     """

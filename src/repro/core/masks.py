@@ -29,7 +29,6 @@ __all__ = [
     "quantize_kept_count",
     "group_by_kept_count",
     "output_grid_mask",
-    "spatial_mask_signature",
 ]
 
 
@@ -229,17 +228,6 @@ def output_grid_mask(
     if mask.ndim != 3:
         raise ValueError(f"spatial mask must be (N, H, W), got shape {mask.shape}")
     return mask[:, ::stride, ::stride][:, :out_h, :out_w]
-
-
-def spatial_mask_signature(mask: np.ndarray) -> bytes:
-    """Hashable packed-bit identity of one sample's spatial mask.
-
-    The 2-D twin of the channel-mask signatures the grouped executor keys
-    on: equal signatures ⇔ equal kept-position sets, so combined
-    channel×spatial grouping can reuse the same dictionary machinery.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    return np.packbits(mask.reshape(-1)).tobytes()
 
 
 def quantize_kept_count(count: int, total: int, quantum: int = 4) -> int:

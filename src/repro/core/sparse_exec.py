@@ -5,20 +5,16 @@ implementation) applies binary masks and lets the dense convolution run —
 FLOPs savings are *accounted* analytically.  This module is the deployment
 engine that realizes those savings on CPU, at batch scale:
 
-* **Mask-signature batching** (:func:`sparse_conv2d`): samples whose channel
-  masks are identical (dynamic pruning often agrees within a batch, and
-  ``granularity="batch"`` guarantees it) are grouped by a packed bit
-  signature and executed with **one im2col + one GEMM per group**, reusing
-  the vectorized :func:`repro.nn.functional.im2col`.
-* **Ragged kept-count bucketing** (:func:`_ragged_channel_conv`): *adaptive*
-  (threshold-mode) masks keep a different channel count per sample, which
-  defeats both signature grouping and the stacked equal-kept-count path.
-  Samples are bucketed by their kept-count quantized to
-  ``PlanConfig.kept_quantum`` and each bucket runs padded batched GEMMs —
-  zero-filled weight tail columns, cache-resident sample tiles — so the
-  dynamic-inference workload (``mask_mode="threshold"``, FBS-style gates)
-  executes batched instead of one sample at a time, while staying
-  bit-identical to per-request execution.
+* **Channel kernel** (:func:`_channel_conv`): every channel-only mask,
+  fixed top-k and adaptive (threshold-mode) alike, runs one kernel.
+  Samples are grouped by their kept-channel count rounded up to a
+  quantum (1 at top-k sites, ``PlanConfig.kept_quantum`` at adaptive
+  ones); per group each sample's kept input channels are gathered and
+  unfolded in cache-sized sample tiles, its kept weight rows are gathered
+  from a channel-major ``(Cin, k*k, Cout)`` copy of the fused weight (one
+  contiguous run per channel, rounding-tail rows zeroed), and one batched
+  GEMM writes the NCHW output — bit-identical to per-request execution
+  by construction.
 * **Ragged spatial bucketing** (:func:`_ragged_spatial_conv`): the same
   treatment for kept *positions*, and the kernel every spatial mask runs
   by default — fixed top-k column sites (the paper's Table I ResNet-56
@@ -36,13 +32,10 @@ engine that realizes those savings on CPU, at batch scale:
   kept only as the oracle: tests reach it through
   ``strategy="per_position"`` and the ``PlanConfig(ragged_mode="never")``
   fallback runs it.
-* **Weight-slice caching** (:class:`WeightSliceCache`): gathering the kept
-  columns of a filter bank is pure memory traffic; the channel paths cache
-  slices across layers *and* calls keyed by ``(layer, mask signature)``,
-  so steady-state traffic with recurring masks pays the gather once.
 * **Plan compilation** (:class:`ExecutionPlan`): the layer graph is walked
   once per model at executor construction — Conv→BN(→ReLU) chains are fused
-  into a single op (BN folded into the conv weights at eval time), output
+  into a single op (BN folded into the conv weights at eval time, which
+  are then also stored channel-major for the channel kernel), output
   shapes are memoized per input geometry, and every convolution dispatches
   to a dense fast path when the pending mask is below the configured
   sparsity threshold (gather overhead would exceed the skipped work).
@@ -53,15 +46,14 @@ engine that realizes those savings on CPU, at batch scale:
   ``np.matmul(weight_matrix, col, out=...)`` directly into the NCHW output
   tensor — no patch-tensor materialization, no result transpose, and no
   steady-state scratch allocation.  Arenas are per-thread
-  (:class:`~repro.core.workspace.ArenaPool`) and the weight-slice cache is
-  locked, so one compiled plan serves N session workers concurrently over
-  its read-only fused weights.
+  (:class:`~repro.core.workspace.ArenaPool`), so one compiled plan serves
+  N session workers concurrently over its read-only fused weights.
 
 Numerical contract (see ``tests/test_sparse_engine.py``):
 
 * **Channel skipping** is numerically equivalent to the dense masked
   convolution — a zeroed input channel contributes nothing to any output,
-  so gathering kept channels/weight columns computes the same sums over
+  so gathering kept channels/weight rows computes the same sums over
   ``kept/C`` of the work.
 * **Column skipping** follows the paper's operational semantics (Sec.
   III-B): output positions whose input column was removed are skipped and
@@ -78,7 +70,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,9 +100,6 @@ from .pruning import DynamicPruning, pooled_keep_fraction
 from .workspace import ArenaPool, WorkspaceArena
 
 __all__ = [
-    "mask_signature",
-    "group_by_mask_signature",
-    "WeightSliceCache",
     "sparse_conv2d",
     "PlanConfig",
     "ExecutionPlan",
@@ -120,7 +108,6 @@ __all__ = [
     "SparseResNetExecutor",
     "dense_reference_forward",
     "output_keep_grid",
-    "STACKED_PATH_MAX_POSITIONS",
     "UnsupportedGraphError",
 ]
 
@@ -134,19 +121,10 @@ class UnsupportedGraphError(TypeError):
     """
 
 
-#: Output-position cutoff for the stacked equal-kept-count fast path.
-#: Below it, a batch of distinct masks runs as one gather + one batched
-#: GEMM (per-sample Python overhead dominates small GEMMs); above it the
-#: grouped path's larger, fewer GEMMs and tiled im2col win.  Both paths
-#: produce bit-identical per-sample results (their GEMM slices see the
-#: same operand values, shapes, and strides), so the cutoff is purely a
-#: performance knob.
-STACKED_PATH_MAX_POSITIONS = 512
-
-#: Per-chunk im2col budget for the ragged path's sample tiling.  A
-#: kept-count bucket is executed in chunks whose unfolded patch slab stays
+#: Per-chunk im2col budget for the channel kernel's sample tiling.  A
+#: kept-count group is executed in chunks whose unfolded patch slab stays
 #: within this many bytes, so the im2col → GEMM round trip runs out of
-#: cache instead of spilling a whole bucket's tens of megabytes to DRAM
+#: cache instead of spilling a whole group's tens of megabytes to DRAM
 #: and reading them straight back.  Tiling only splits the gufunc batch
 #: axis — every per-sample GEMM slice keeps the same shape, strides, and
 #: operand values — so results are bit-identical at any tile size.
@@ -187,267 +165,135 @@ def _take(
     return arena.take(tag, shape, dtype)
 
 
-# ----------------------------------------------------------------------
-# Mask signatures and grouping
-# ----------------------------------------------------------------------
-def mask_signature(mask: np.ndarray) -> bytes:
-    """Compact, hashable signature of a 1-D boolean mask (packed bits)."""
-    return np.packbits(np.asarray(mask, dtype=bool)).tobytes()
+def _channel_major(weight: np.ndarray) -> np.ndarray:
+    """``(Cout, Cin, k, k)`` weights as a contiguous ``(Cin, k*k, Cout)`` copy.
 
-
-def group_by_mask_signature(
-    channel_mask: np.ndarray,
-) -> List[Tuple[bytes, np.ndarray, np.ndarray]]:
-    """Partition batch rows by identical channel-mask signature.
-
-    Returns ``(signature, sample_indices, kept_channel_indices)`` triples.
-    Dynamic pruning frequently produces repeated masks within a batch (and
-    ``granularity="batch"`` produces exactly one), so downstream convolution
-    work collapses to one im2col/GEMM per group instead of one per sample.
+    Each input channel's weights become one contiguous ``k*k*Cout`` run,
+    so gathering a sample's kept channels copies whole rows.
     """
-    mask = np.asarray(channel_mask, dtype=bool)
-    packed = np.packbits(mask, axis=1)
-    uniq, inverse = np.unique(packed, axis=0, return_inverse=True)
-    groups: List[Tuple[bytes, np.ndarray, np.ndarray]] = []
-    for g in range(uniq.shape[0]):
-        idx = np.flatnonzero(inverse == g)
-        kept = np.flatnonzero(mask[idx[0]])
-        groups.append((uniq[g].tobytes(), idx, kept))
-    return groups
+    out_c, c, k, _ = weight.shape
+    return np.ascontiguousarray(weight.transpose(1, 2, 3, 0)).reshape(c, k * k, out_c)
 
 
-class WeightSliceCache:
-    """LRU cache of gathered weight slices keyed by ``(layer, signature)``.
-
-    Gathering ``weight[:, kept].reshape(out_c, -1)`` is pure memory traffic
-    repeated for every recurring mask; one cache instance is shared by every
-    convolution in an :class:`ExecutionPlan` (layers disambiguate entries
-    with their own key), and it persists across forward calls.
-
-    The cache is thread-safe: LRU bookkeeping mutates an ``OrderedDict``,
-    which multi-worker sessions hit concurrently, so every operation runs
-    under a lock.  Cached slices themselves are immutable once stored
-    (callers only read them), so handing the same array to two workers is
-    safe.
-    """
-
-    def __init__(self, max_entries: int = 256):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._store: "OrderedDict[Tuple[object, bytes], np.ndarray]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(
-        self,
-        key: object,
-        signature: bytes,
-        weight: np.ndarray,
-        kept: np.ndarray,
-        pad_to: Optional[int] = None,
-    ) -> np.ndarray:
-        """Return the cached ``(out_c, kept*k*k)`` slice, gathering on miss.
-
-        The flattened ``K`` ordering is ``(c, ky, kx)``, matching
-        :func:`im2col_t` columns.  ``pad_to`` (the ragged path's bucket
-        width) pads the kept axis with zero columns up to ``pad_to``
-        channels, so the slice drops into a fixed-shape bucket GEMM;
-        padded and unpadded slices for the same signature are distinct
-        cache entries.
-        """
-        full_key = (key, signature, pad_to)
-        with self._lock:
-            cached = self._store.get(full_key)
-            if cached is not None:
-                self.hits += 1
-                self._store.move_to_end(full_key)
-                return cached
-        # Gather outside the lock: it is the expensive part, and a
-        # duplicate gather from a racing worker is wasted work, not a
-        # correctness problem (both produce the same slice).
-        out_c = weight.shape[0]
-        w_sub = _ensure_contiguous(weight[:, kept].reshape(out_c, -1))
-        if pad_to is not None and pad_to > kept.size:
-            taps = weight.shape[2] * weight.shape[3]
-            padded = np.zeros((out_c, pad_to * taps), dtype=weight.dtype)
-            padded[:, : w_sub.shape[1]] = w_sub
-            w_sub = padded
-        with self._lock:
-            self.misses += 1
-            self._store[full_key] = w_sub
-            if len(self._store) > self.max_entries:
-                self._store.popitem(last=False)
-        return w_sub
-
-    def clear(self) -> None:
-        with self._lock:
-            self._store.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters without dropping cached slices."""
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self._store)}
-
-
-# ----------------------------------------------------------------------
-# Ragged (kept-count-bucketed) channel convolution
-# ----------------------------------------------------------------------
-def _ragged_channel_conv(
+def _dense_conv(
     x: np.ndarray,
     weight: np.ndarray,
     bias: Optional[np.ndarray],
     stride: int,
     padding: int,
-    mask: np.ndarray,
-    *,
-    kept_quantum: int,
-    cache: Optional[WeightSliceCache],
-    cache_key: Optional[object],
     arena: Optional[WorkspaceArena],
     oh: int,
     ow: int,
 ) -> np.ndarray:
-    """Channel skipping for *ragged* masks: one padded GEMM per bucket.
+    """The unmasked convolution on the zero-copy kernels.
 
-    Adaptive (threshold-mode) masks keep a different channel count per
-    sample, which defeats both the stacked equal-kept-count fast path and
-    signature grouping (every sample is its own group).  Here samples are
-    bucketed by their kept-count quantized up to ``kept_quantum``
-    (:func:`~repro.core.masks.group_by_kept_count`) and each bucket runs
-    ONE batched GEMM over per-sample ``(Cout, Kq*k*k)`` weight slices whose
-    tail columns — the quantization padding — are zero-filled, so padded
-    slots contribute exact zeros.
+    Channels-first unfold into the workspace, then per-sample
+    ``(Cout, K) @ (K, OH*OW)`` GEMM slices straight into the NCHW output,
+    so each sample's result is independent of the batch it shares.
+    """
+    n, c = x.shape[:2]
+    out_c, _, k, _ = weight.shape
+    col = F.im2col_t(
+        x, k, stride, padding,
+        out=_take(arena, "im2col", (n, c * k * k, oh * ow), x.dtype),
+        tile_rows=F.default_tile_rows(c, k, ow, x.dtype.itemsize),
+    )
+    out = np.empty((n, out_c, oh, ow), dtype=x.dtype)
+    _matmul_into(weight.reshape(out_c, -1), col, out.reshape(n, out_c, oh * ow))
+    if bias is not None:
+        out += bias.reshape(1, out_c, 1, 1)
+    return out
 
-    Batch-invariance is by construction: a sample's bucket width depends
-    only on its own mask and the fixed quantum, every per-sample GEMM
-    slice has the same shape/strides whether the sample arrives alone or
-    in a fused window, and the padded operand values are a deterministic
-    function of the sample's mask.  Executing the same sample per-request
-    therefore reproduces its batched output bit for bit.
+
+# ----------------------------------------------------------------------
+# Channel kernel
+# ----------------------------------------------------------------------
+def _channel_conv(
+    x: np.ndarray,
+    wt: np.ndarray,
+    bias: Optional[np.ndarray],
+    k: int,
+    stride: int,
+    padding: int,
+    mask: np.ndarray,
+    *,
+    quantum: int,
+    arena: Optional[WorkspaceArena],
+    oh: int,
+    ow: int,
+) -> np.ndarray:
+    """Channel skipping: one batched GEMM per kept-count group.
+
+    ``wt`` is the convolution's channel-major ``(Cin, k*k, Cout)`` weight
+    (:func:`_channel_major`).  Samples are grouped by their kept-channel
+    count rounded up to ``quantum``
+    (:func:`~repro.core.masks.group_by_kept_count`): 1 for top-k masks,
+    whose counts are equal, ``kept_quantum`` for adaptive ones.  Per
+    group, in sample tiles whose unfolded slab fits
+    :data:`RAGGED_TILE_BYTES`, each sample's kept input channels are
+    gathered and unfolded with :func:`repro.nn.functional.im2col_t`, its
+    kept weight rows are gathered into a ``(G, q*k*k, Cout)`` stack, and
+    one batched GEMM — the stack passed as a transposed operand — writes
+    ``(Cout, OH*OW)`` per sample straight into the NCHW output.
+
+    A sample whose count falls short of its group's width ``q`` fills the
+    rounding tail with its own dropped channels, whose weight rows are
+    zeroed, so they add exact zeros and the result honours the
+    channel-skip contract even on an unmasked input.  All-dropped samples
+    compute nothing and stay exactly zero.
+
+    Batch invariance is by construction: a sample's group width depends
+    only on its own mask and the fixed quantum, and its GEMM slice has the
+    same shape, strides and operand values whether it runs alone or in a
+    window, so per-request execution reproduces the batched output bit for
+    bit.  Tiling only splits the batch axis of the GEMM.
     """
     n, c, h, w = x.shape
-    out_c = weight.shape[0]
-    k = weight.shape[2]
     kk = k * k
+    out_c = wt.shape[2]
     positions = oh * ow
-    counts = mask.sum(axis=1).astype(np.int64)
-    buckets = group_by_kept_count(mask, kept_quantum)
-    # All-dropped rows compute nothing; only then does the output need
-    # pre-zeroing (every populated bucket fully writes its rows).
-    any_empty = buckets[0][0] == 0
-    out = (np.zeros if any_empty else np.empty)((n, out_c, oh, ow), dtype=x.dtype)
+    counts = mask.sum(axis=1)
+    groups = group_by_kept_count(mask, quantum)
+    # All-dropped samples compute nothing; only then does the output need
+    # pre-zeroing (every other group fully writes its rows).
+    out = (np.zeros if groups[0][0] == 0 else np.empty)((n, out_c, oh, ow), dtype=x.dtype)
     out_flat = out.reshape(n, out_c, positions)
-
-    for bucket_count, idx in buckets:
-        if bucket_count == 0:
+    x_rows = x.reshape(n * c, h, w)
+    for q, idx in groups:
+        if q == 0:
             continue
-        bsz = int(idx.size)
-        whole = bsz == n
-        if bucket_count >= c and int(counts[idx].min()) == c:
-            # Every sample here keeps every channel: run dense per-sample
-            # GEMM slices with no gather at all.  Samples whose quantized
-            # count merely *rounds up* to the dimension stay on the general
-            # branch below — its zeroed weight tail is what keeps dropped
-            # channels out of the sums whether or not the caller pre-masked
-            # the input (the documented channel-skip contract).  Mixing the
-            # branches inside one bucket is bit-safe: for a keep-all sample
-            # the general branch's gather order is the identity, so both
-            # branches hand the GEMM identical (Cout, C*k*k) operands.
-            xg = x if whole else x[idx]
+        # Each sample's kept channels ascending, then its dropped channels
+        # filling the rounding tail (stable sort: False < True).
+        order = np.argsort(~mask[idx], axis=1, kind="stable")[:, :q]
+        cols = q * kk
+        tile = max(1, RAGGED_TILE_BYTES // (cols * positions * x.dtype.itemsize))
+        for start in range(0, idx.size, tile):
+            chunk = idx[start : start + tile]
+            csz = chunk.size
+            rows = order[start : start + tile]
+            xg = _take(arena, "channel_x", (csz, q, h, w), x.dtype)
+            np.take(x_rows, chunk[:, None] * c + rows, axis=0, out=xg, mode="clip")
             col = F.im2col_t(
                 xg, k, stride, padding,
-                out=_take(arena, "im2col", (bsz, c * kk, positions), x.dtype),
-                tile_rows=F.default_tile_rows(c, k, ow, x.dtype.itemsize),
+                out=_take(arena, "im2col", (csz, cols, positions), x.dtype),
+                tile_rows=F.default_tile_rows(q, k, ow, x.dtype.itemsize),
             )
-            dst = out_flat if whole else _take(
-                arena, "gemm", (bsz, out_c, positions), x.dtype
-            )
-            _matmul_into(weight.reshape(out_c, -1), col, dst)
-        else:
-            rows = mask[idx]
-            # Per-sample padded channel order: kept indices ascending, then
-            # the sample's dropped channels filling the quantization tail.
-            # Tail slots gather real input channels but multiply against
-            # zeroed weight columns, so they add exact zeros to every sum.
-            order = np.argsort(~rows, axis=1, kind="stable")[:, :bucket_count]
-            cols = bucket_count * kk
-            packed = np.packbits(rows, axis=1) if cache is not None else None
-            # Sample tiling: bound the im2col → GEMM working set so it
-            # stays cache-resident (see RAGGED_TILE_BYTES).  Chunk sizes
-            # depend only on the bucket width and the conv geometry.
-            tile = max(
-                1, RAGGED_TILE_BYTES // max(cols * positions * x.dtype.itemsize, 1)
-            )
-            for start in range(0, bsz, tile):
-                stop = min(start + tile, bsz)
-                csz = stop - start
-                chunk = idx[start:stop]
-                xg = x[chunk[:, None], order[start:stop]]
-                col = F.im2col_t(
-                    xg, k, stride, padding,
-                    out=_take(arena, "im2col", (csz, cols, positions), x.dtype),
-                    tile_rows=F.default_tile_rows(
-                        bucket_count, k, ow, x.dtype.itemsize
-                    ),
-                )
-                if cache is not None and csz == 1:
-                    # Lone sample in its chunk: the cached padded slice is
-                    # the GEMM operand directly — no stack copy.  A cached
-                    # (Cout, cols) slice is contiguous exactly like a
-                    # w_stack row, so the GEMM is bit-identical either way.
-                    kept = np.flatnonzero(rows[start])
-                    w_op: np.ndarray = cache.get(
-                        cache_key, packed[start].tobytes(), weight, kept,
-                        pad_to=bucket_count,
-                    )
-                else:
-                    w_stack = _take(
-                        arena, "ragged_w", (csz, out_c, cols), weight.dtype
-                    )
-                    if cache is not None:
-                        for i in range(start, stop):
-                            kept = np.flatnonzero(rows[i])
-                            w_stack[i - start] = cache.get(
-                                cache_key, packed[i].tobytes(), weight, kept,
-                                pad_to=bucket_count,
-                            )
-                    else:
-                        gathered = weight.reshape(out_c, c, kk)[:, order[start:stop]]
-                        w4 = w_stack.reshape(csz, out_c, bucket_count, kk)
-                        w4[...] = gathered.transpose(1, 0, 2, 3)
-                        pad_rows, pad_slots = np.nonzero(
-                            np.arange(bucket_count)[None, :]
-                            >= counts[chunk][:, None]
-                        )
-                        if pad_rows.size:
-                            w4[pad_rows, :, pad_slots, :] = 0.0
-                    w_op = w_stack
-                chunk_whole = whole and csz == n
-                dst = out_flat if chunk_whole else _take(
-                    arena, "gemm", (csz, out_c, positions), x.dtype
-                )
-                _matmul_into(w_op, col, dst)
-                if bias is not None:
-                    dst += bias[:, None]
-                if not chunk_whole:
-                    out_flat[chunk] = dst
-            continue
-        if bias is not None:
-            dst += bias[:, None]
-        if not whole:
-            out_flat[idx] = dst
+            w_stack = _take(arena, "channel_w", (csz, q, kk, out_c), wt.dtype)
+            # ``order`` comes from argsort, so every index is in range;
+            # "clip" skips the bounds-checked buffered copy of "raise".
+            np.take(wt, rows, axis=0, out=w_stack, mode="clip")
+            w_stack[np.nonzero(np.arange(q) >= counts[chunk][:, None])] = 0.0
+            if idx.size == n:
+                # The group is the whole batch, so the tile is a slice of it.
+                dst = out_flat[start : start + csz]
+            else:
+                dst = _take(arena, "gemm", (csz, out_c, positions), x.dtype)
+            # (Cout, q*k*k) @ (q*k*k, OH*OW) per sample, the stack transposed.
+            _matmul_into(w_stack.reshape(csz, cols, out_c).transpose(0, 2, 1), col, dst)
+            if bias is not None:
+                dst += bias[:, None]
+            if idx.size != n:
+                out_flat[chunk] = dst
     return out
 
 
@@ -517,7 +363,7 @@ def _ragged_spatial_conv(
     padded operand.
 
     Batch-invariance is by construction, same argument as
-    :func:`_ragged_channel_conv`: a sample's bucket width is
+    :func:`_channel_conv`: a sample's bucket width is
     ``quantize_kept_count`` of its *own* kept-position count, its gather
     orders and weight slice depend only on its own masks, and batched 3-D
     GEMM slices compute bitwise the same as the single-sample GEMM over
@@ -629,6 +475,44 @@ def _ragged_spatial_conv(
     return out
 
 
+def _per_position_conv(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: Optional[np.ndarray],
+    stride: int,
+    padding: int,
+    spatial_mask: np.ndarray,
+    channel_mask: Optional[np.ndarray],
+    oh: int,
+    ow: int,
+) -> np.ndarray:
+    """Column skipping one sample at a time: the spatial kernel's oracle.
+
+    Each sample gathers its own kept channels, the patches of its kept
+    output positions and its kept weight columns, and runs one
+    ``(npos, K) @ (K, Cout)`` GEMM; dropped positions stay zero.
+    """
+    n, c = x.shape[:2]
+    out_c, _, k, _ = weight.shape
+    out = np.zeros((n, out_c, oh, ow), dtype=x.dtype)
+    keep = output_grid_mask(spatial_mask, stride, oh, ow)
+    pad = ((0, 0), (padding, padding), (padding, padding))
+    for i in range(n):
+        kept = np.arange(c) if channel_mask is None else np.flatnonzero(channel_mask[i])
+        ys, xs = np.nonzero(keep[i])
+        if kept.size == 0 or ys.size == 0:
+            continue
+        xg = np.pad(x[i, kept], pad) if padding > 0 else x[i, kept]
+        # (C_kept, OH, OW, k, k) sliding windows — a strided view.
+        windows = sliding_window_view(xg, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+        patches = np.moveaxis(windows[:, ys, xs], 1, 0)  # (P, C_kept, k, k)
+        vals = patches.reshape(ys.size, -1) @ weight[:, kept].reshape(out_c, -1).T
+        if bias is not None:
+            vals = vals + bias
+        out[i][:, ys, xs] = vals.T
+    return out
+
+
 # ----------------------------------------------------------------------
 # Batched sparse convolution
 # ----------------------------------------------------------------------
@@ -641,9 +525,6 @@ def sparse_conv2d(
     channel_mask: Optional[np.ndarray] = None,
     spatial_mask: Optional[np.ndarray] = None,
     *,
-    cache: Optional[WeightSliceCache] = None,
-    cache_key: Optional[object] = None,
-    batch_invariant: bool = False,
     arena: Optional[WorkspaceArena] = None,
     ragged: bool = False,
     kept_quantum: int = 4,
@@ -659,9 +540,10 @@ def sparse_conv2d(
     weight / bias / stride / padding:
         Convolution parameters (weight ``(Cout, Cin, k, k)``).
     channel_mask:
-        Optional ``(N, Cin)`` boolean mask; samples are grouped by identical
-        mask signature and each group runs one im2col/GEMM over its kept
-        channels only (exactly equivalent to the dense masked conv).
+        Optional ``(N, Cin)`` boolean mask.  Without a spatial mask the
+        channel kernel (:func:`_channel_conv`) runs over each sample's
+        kept channels only, on a channel-major view of ``weight`` built
+        per call (exactly equivalent to the dense masked conv).
     spatial_mask:
         Optional ``(N, H, W)`` boolean mask over the *input* columns; output
         positions mapping to dropped columns are skipped and left zero (the
@@ -672,37 +554,20 @@ def sparse_conv2d(
         apply the mask before calling).  Every spatial mask runs the
         kept-position bucketed kernel (:func:`_ragged_spatial_conv`)
         unless ``strategy="per_position"`` asks for the oracle.
-    cache / cache_key:
-        Optional :class:`WeightSliceCache` for the gathered weight slices
-        of the channel paths (the spatial kernel gathers its own).
-        ``cache_key`` is required with ``cache`` and must be stable and
-        unique per weight tensor (the executors pass their op identity);
-        ``id(weight)`` is unsafe — ids are reused after garbage collection.
-    batch_invariant:
-        Per-sample GEMM slicing for the *per-position* spatial path, so
-        each sample's output does not depend on which other samples share
-        the batch (see :attr:`PlanConfig.batch_invariant`).  The channel
-        paths are batch-invariant unconditionally since the kernel-layer
-        rewrite, and the ragged-spatial kernel is batch-invariant by
-        construction (a sample's bucket width, gather orders and GEMM
-        slice depend only on its own masks) — the flag only steers the
-        per-position oracle's flat-vs-sliced GEMM.
     arena:
         Optional :class:`~repro.core.workspace.WorkspaceArena` supplying
-        the im2col and GEMM scratch buffers.  Without one, scratch is
-        freshly allocated per call (same results, more allocator traffic).
+        the kernels' scratch buffers.  Without one, scratch is freshly
+        allocated per call (same results, more allocator traffic).
         Arenas are single-thread-only; concurrent callers pass their own
         (plans hand out one per thread).
     ragged / kept_quantum:
-        ``ragged=True`` routes channel-only masks through
-        :func:`_ragged_channel_conv` (samples grouped by kept-*channel*
-        count quantized up to ``kept_quantum``), one padded batched GEMM
-        per bucket.  This is the path for *adaptive* (threshold-mode)
-        masks, whose per-sample kept-counts differ; it applies to every
-        batch composition — including singletons — so results stay
+        ``ragged=True`` rounds the channel kernel's per-sample kept-channel
+        counts up to a multiple of ``kept_quantum`` before grouping (the
+        setting for *adaptive* masks, whose counts differ per sample);
+        otherwise samples group by exact count.  Either way results are
         bit-identical to per-request execution.  Spatial masks are
-        bucketed whatever the flag; ``kept_quantum`` is the floor of
-        their kept-*position* quantum.
+        bucketed whatever the flag; ``kept_quantum`` is the floor of their
+        kept-*position* quantum.
     strategy:
         ``None`` keeps the heuristic dispatch.  ``"per_position"``
         (requires a ``spatial_mask``) runs the per-sample gather + GEMM
@@ -711,11 +576,10 @@ def sparse_conv2d(
         width-``Pq`` padded GEMM differently from a width-``npos`` exact
         one), and each is bit-identical to its own per-request execution.
     on_dispatch:
-        Optional callback receiving the fine-grained path label this call
-        actually executed — ``"per_input"`` (signature groups all
-        singletons), ``"grouped"``, ``"stacked"``, ``"ragged"``,
-        ``"ragged_spatial"`` or ``"per_position"`` — once per invocation.
-        Plans pass their dispatch-counter hook here.
+        Optional callback receiving the path label this call executed —
+        ``"channel"``, ``"ragged_spatial"``, ``"per_position"`` or
+        ``"dense"`` (no mask) — once per invocation.  Plans pass their
+        dispatch-counter hook here.
 
     Returns
     -------
@@ -733,200 +597,31 @@ def sparse_conv2d(
     if in_c != c:
         raise ValueError(f"weight expects {in_c} input channels, got {c}")
     oh, ow = F.conv_output_shape(h, w, k, stride, padding)
-    use_ragged = ragged and channel_mask is not None and spatial_mask is None
-    # Every spatial mask runs kept-position bucketing; the per-sample
-    # gather loop is only ever an explicit request (the oracle in tests,
-    # ``PlanConfig(ragged_mode="never")``).
-    use_ragged_spatial = spatial_mask is not None and strategy is None
-    if n == 0:
-        if on_dispatch is not None:
-            if spatial_mask is not None:
-                on_dispatch("ragged_spatial" if use_ragged_spatial else "per_position")
-            else:
-                on_dispatch("ragged" if use_ragged else "grouped")
-        return np.zeros((n, out_c, oh, ow), dtype=x.dtype)
-
-    if cache is not None and cache_key is None:
-        raise ValueError("cache_key is required when a WeightSliceCache is passed")
-    if use_ragged_spatial:
-        # Kept-position bucketing handles the channel mask internally
-        # (kept-count groups, position buckets within).
-        if on_dispatch is not None:
-            on_dispatch("ragged_spatial")
-        return _ragged_spatial_conv(
-            x,
-            weight,
-            bias,
-            stride,
-            padding,
-            np.asarray(spatial_mask, dtype=bool),
-            None if channel_mask is None else np.asarray(channel_mask, dtype=bool),
-            kept_quantum=kept_quantum,
-            arena=arena,
-            oh=oh,
-            ow=ow,
-        )
-    if use_ragged:
-        # Ragged masks bypass signature grouping entirely: bucket shapes
-        # depend only on each sample's own kept-count, never on batch
-        # composition, so this branch must fire for singletons too.
-        if on_dispatch is not None:
-            on_dispatch("ragged")
-        return _ragged_channel_conv(
-            x,
-            weight,
-            bias,
-            stride,
-            padding,
-            np.asarray(channel_mask, dtype=bool),
-            kept_quantum=kept_quantum,
-            cache=cache,
-            cache_key=cache_key,
-            arena=arena,
-            oh=oh,
-            ow=ow,
-        )
-    if channel_mask is None:
-        groups: List[Tuple[Optional[bytes], np.ndarray, Optional[np.ndarray]]] = [
-            (None, np.arange(n), None)
-        ]
+    if spatial_mask is not None:
+        kind = "per_position" if strategy else "ragged_spatial"
     else:
-        groups = list(group_by_mask_signature(channel_mask))
-
-    # Stacked fast path for serving batches: top-k channel masks keep the
-    # *same count* per sample (reserved_count is per layer), so a batch of
-    # distinct masks can run as ONE gather + ONE im2col + ONE batched GEMM
-    # with per-sample weight slices, instead of a Python loop over
-    # signature groups of size one.  Each sample's GEMM slice sees exactly
-    # the operands (values, shapes, strides) the per-request path would
-    # give it, so outputs stay bit-identical to one-at-a-time execution —
-    # the cutoff (STACKED_PATH_MAX_POSITIONS) is purely a performance knob.
-    if (
-        spatial_mask is None
-        and channel_mask is not None
-        and len(groups) > 1
-        and oh * ow <= STACKED_PATH_MAX_POSITIONS
-    ):
-        mask = np.asarray(channel_mask, dtype=bool)
-        counts = mask.sum(axis=1)
-        kept_count = int(counts[0])
-        if kept_count > 0 and int(counts.min()) == int(counts.max()):
-            # Row-wise kept indices, ascending (stable sort: False < True).
-            kept_matrix = np.argsort(~mask, axis=1, kind="stable")[:, :kept_count]
-            xg = x[np.arange(n)[:, None], kept_matrix]
-            cols = kept_count * k * k
-            col = F.im2col_t(
-                xg, k, stride, padding,
-                out=_take(arena, "im2col", (n, cols, oh * ow), x.dtype),
-            )
-            w_stack = _take(arena, "wstack", (n, out_c, cols), weight.dtype)
-            if cache is not None:
-                packed = np.packbits(mask, axis=1)
-                for i in range(n):
-                    w_stack[i] = cache.get(
-                        cache_key, packed[i].tobytes(), weight, kept_matrix[i]
-                    )
-            else:
-                # (Cout, N, kept, k*k) gather, transposed into the stack.
-                gathered = weight.reshape(out_c, c, k * k)[:, kept_matrix]
-                w_stack.reshape(n, out_c, kept_count, k * k)[...] = gathered.transpose(
-                    1, 0, 2, 3
-                )
-            out = np.empty((n, out_c, oh, ow), dtype=x.dtype)
-            # One batched GEMM, each (Cout, K) @ (K, OH*OW) slice writing
-            # NCHW output order directly — no result transpose.
-            _matmul_into(w_stack, col, out.reshape(n, out_c, oh * ow))
-            if bias is not None:
-                out += bias.reshape(1, out_c, 1, 1)
-            if on_dispatch is not None:
-                on_dispatch("stacked")
-            return out
-
-    # Grouped path.  Pure channel masking fully writes every non-skipped
-    # group, so zero-fill is only needed when some group drops all its
-    # channels (or a spatial mask leaves holes).
+        kind = "dense" if channel_mask is None else "channel"
     if on_dispatch is not None:
-        if spatial_mask is not None:
-            # The per-sample gather + GEMM oracle the bucketed spatial
-            # kernel is verified and measured against.
-            on_dispatch("per_position")
-        else:
-            # "per_input" = the degenerate regime the stacked path exists
-            # to fix: every sample is its own signature group.
-            per_input = channel_mask is not None and n > 1 and len(groups) == n
-            on_dispatch("per_input" if per_input else "grouped")
-    skips_possible = spatial_mask is not None or any(
-        kept is not None and kept.size == 0 for _, _, kept in groups
+        on_dispatch(kind)
+    if n == 0:
+        return np.zeros((n, out_c, oh, ow), dtype=x.dtype)
+    cmask = None if channel_mask is None else np.asarray(channel_mask, dtype=bool)
+    if kind == "channel":
+        return _channel_conv(
+            x, _channel_major(weight), bias, k, stride, padding, cmask,
+            quantum=kept_quantum if ragged else 1, arena=arena, oh=oh, ow=ow,
+        )
+    if kind == "dense":
+        return _dense_conv(x, weight, bias, stride, padding, arena, oh, ow)
+    smask = np.asarray(spatial_mask, dtype=bool)
+    if kind == "per_position":
+        return _per_position_conv(x, weight, bias, stride, padding, smask, cmask, oh, ow)
+    # Kept-position bucketing handles the channel mask internally
+    # (kept-count groups, position buckets within).
+    return _ragged_spatial_conv(
+        x, weight, bias, stride, padding, smask, cmask,
+        kept_quantum=kept_quantum, arena=arena, oh=oh, ow=ow,
     )
-    out = (np.zeros if skips_possible else np.empty)((n, out_c, oh, ow), dtype=x.dtype)
-    out_flat = out.reshape(n, out_c, oh * ow)
-
-    for signature, idx, kept in groups:
-        if kept is not None and kept.size == 0:
-            continue  # every channel dropped -> output stays zero
-        full_channels = kept is None or kept.size == c
-        if full_channels:
-            w_sub = weight.reshape(out_c, -1)
-        elif cache is not None and signature is not None:
-            w_sub = cache.get(cache_key, signature, weight, kept)
-        else:
-            w_sub = _ensure_contiguous(weight[:, kept].reshape(out_c, -1))
-
-        ck = c if full_channels else int(kept.size)
-        if spatial_mask is None:
-            whole = idx.size == n
-            if whole and full_channels:
-                xg = x
-            else:
-                xg = x[idx] if full_channels else x[np.ix_(idx, kept)]
-            # Channels-first unfold, tiled to stream large feature maps
-            # through L2, gathered straight into the workspace.
-            col = F.im2col_t(
-                xg, k, stride, padding,
-                out=_take(arena, "im2col", (idx.size, ck * k * k, oh * ow), x.dtype),
-                tile_rows=F.default_tile_rows(ck, k, ow, x.dtype.itemsize),
-            )
-            # (Cout, K) @ (K, OH*OW) per sample: NCHW output order falls
-            # out of the GEMM, and a whole-batch group lands in the output
-            # tensor with no intermediate at all.  Per-sample slices see
-            # fixed operand shapes/strides regardless of group size, so
-            # the result is batch-invariant by construction.
-            dst = out_flat if whole else _take(
-                arena, "gemm", (idx.size, out_c, oh * ow), x.dtype
-            )
-            _matmul_into(w_sub, col, dst)
-            if bias is not None:
-                dst += bias[:, None]
-            if not whole:
-                out_flat[idx] = dst
-        else:
-            xg = x[idx] if full_channels else x[np.ix_(idx, kept)]
-            if padding > 0:
-                xg = np.pad(xg, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-            # (G, C_kept, OH, OW, k, k) sliding windows — a strided view.
-            windows = sliding_window_view(xg, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-            windows = windows[:, :, :oh, :ow]
-            keep2d = output_grid_mask(spatial_mask, stride, oh, ow)[idx]
-            ns, ys, xs = np.nonzero(keep2d)
-            if ns.size == 0:
-                continue
-            patches = windows[ns, :, ys, xs]  # (P, C_kept, k, k)
-            flat = patches.reshape(ns.size, -1)
-            if batch_invariant:
-                # One GEMM per sample over that sample's kept positions —
-                # the per-sample row count equals what a single-request run
-                # of the same sample would use, so results match bitwise.
-                vals = _take(arena, "spatial", (ns.size, out_c), x.dtype)
-                for g in range(idx.size):
-                    rows = ns == g
-                    if rows.any():
-                        vals[rows] = flat[rows] @ w_sub.T
-            else:
-                vals = flat @ w_sub.T
-            if bias is not None:
-                vals = vals + bias
-            out[idx[ns], :, ys, xs] = vals
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -949,8 +644,6 @@ class PlanConfig:
         so channel results are identical; dropped output columns are zeroed
         after the fact to preserve skip semantics).  ``0.0`` always goes
         sparse when a mask is present; ``1.0`` always runs dense.
-    cache_entries:
-        Capacity of the shared :class:`WeightSliceCache`.
     batch_invariant:
         Guarantee each sample's output is bit-identical no matter how the
         batch is composed.  BLAS picks different blocking (and hence
@@ -958,34 +651,32 @@ class PlanConfig:
         differ in the last ulp between a batch of 1 and a batch of 8; the
         serving layer's micro-batching scheduler needs batch composition
         to be unobservable, so :class:`repro.serve.InferenceSession` turns
-        this on.  Since the kernel-layer rewrite the convolution channel
-        paths run fixed-shape per-sample GEMM slices unconditionally (the
-        invariant form is also the zero-copy one) and the default spatial
-        kernel is invariant by construction, so the flag now only steers
-        the ``per_position`` oracle and the classifier head; its CPU cost
-        is near zero.
+        this on.  Every convolution kernel runs fixed-shape per-sample
+        GEMM slices unconditionally (the invariant form is also the
+        zero-copy one), so the flag only steers the classifier head; its
+        CPU cost is near zero.
     ragged_mode:
-        When convolutions use kept-count-bucketed (ragged) execution.
-        For channel-only masks, ``"auto"`` (default) engages it exactly
-        for *adaptive* pruning sites (``mask_mode="threshold"``), whose
-        ragged kept-counts the stacked/grouped paths cannot batch, and
-        ``"always"`` forces it for every channel mask (the ``adaptive``
-        engine backend).  Spatial masks — fixed top-k and adaptive alike
-        — run kept-position bucketing under both.  ``"never"`` is the
-        oracle dispatch tests compare against: adaptive channel batches
-        degrade to per-sample signature groups and every spatial mask
-        runs the per-sample ``per_position`` gather loop.
+        How the channel kernel groups samples.  ``"auto"`` (default)
+        rounds kept-channel counts up to ``kept_quantum`` exactly at
+        *adaptive* pruning sites (``mask_mode="threshold"``), whose counts
+        differ per sample, and groups top-k sites by exact count;
+        ``"always"`` rounds at every channel site (the ``adaptive`` engine
+        backend).  Spatial masks — fixed top-k and adaptive alike — run
+        kept-position bucketing under both.  ``"never"`` is the oracle
+        dispatch tests compare against: channel sites group by exact
+        count and every spatial mask runs the per-sample ``per_position``
+        gather loop.
     kept_quantum:
-        Bucket granularity for ragged execution: per-sample kept-counts
-        are quantized up to the next multiple before bucketing.  Larger
-        quanta mean fewer GEMM shapes and better arena reuse but more
-        zero-padded work per sample; ``4`` pads at most three channels
-        per sample while near-miss counts still share buckets.
+        Rounding quantum for adaptive channel sites: per-sample kept
+        counts are rounded up to the next multiple before grouping.
+        Larger quanta mean fewer GEMM shapes and better arena reuse but
+        more zero-padded work per sample; ``4`` pads at most three
+        channels per sample while near-miss counts still share groups.
+        Also the floor of the spatial kernel's kept-position quantum.
     """
 
     fuse_conv_bn: bool = True
     dense_threshold: float = 0.15
-    cache_entries: int = 256
     batch_invariant: bool = False
     ragged_mode: str = "auto"
     kept_quantum: int = 4
@@ -1003,9 +694,10 @@ class _MaskState:
     """Pending masks produced by a pruning site, consumed by the next conv.
 
     ``ragged`` marks the pending channel mask as adaptive (per-sample
-    kept-counts may differ), which routes the consuming convolution onto
-    the kept-count-bucketed path and disables the batch-mean dispatch
-    shortcuts (their decisions would depend on batch composition).
+    kept-counts may differ), which makes the consuming convolution round
+    kept counts up to ``kept_quantum`` and disables the batch-mean
+    dispatch shortcuts (their decisions would depend on batch
+    composition).
     """
 
     __slots__ = ("channel", "spatial", "ragged")
@@ -1024,9 +716,16 @@ class _MaskState:
 
 
 class _ConvOp:
-    """A convolution with optionally folded BN/ReLU and sparse dispatch."""
+    """A convolution with optionally folded BN/ReLU and sparse dispatch.
 
-    __slots__ = ("weight", "bias", "stride", "padding", "relu", "key", "_oshape", "_geo")
+    ``weight`` is the fused NCHW weight the dense and spatial kernels
+    read; ``wt`` is its channel-major copy (:func:`_channel_major`) for
+    the channel kernel.
+    """
+
+    __slots__ = (
+        "weight", "wt", "bias", "stride", "padding", "relu", "key", "_oshape", "_geo"
+    )
 
     def __init__(
         self,
@@ -1038,6 +737,7 @@ class _ConvOp:
         key: int,
     ):
         self.weight = weight
+        self.wt = _channel_major(weight)
         self.bias = bias
         self.stride = stride
         self.padding = padding
@@ -1151,21 +851,17 @@ class _ConvOp:
                 _record(kind)
                 _count(kind)
 
-            obs_cache0 = plan.cache.hits
             obs_start = time.perf_counter()
 
         # The batch-mean dispatch shortcuts below are skipped for ragged
         # masks: their decisions depend on who shares the batch, which
         # would break the batch-invariance contract for adaptive traffic.
-        # The ragged path handles the dense-ish regime itself — samples
-        # whose quantized kept-count reaches the channel dimension land in
-        # a full-width bucket, a per-sample decision.
         if channel_mask is not None and not ragged:
             if 1.0 - float(channel_mask.mean()) < config.dense_threshold:
                 # Input channels are already zeroed upstream: dense is exact.
                 channel_mask = None
+        oh, ow = self.output_shape(x.shape[2], x.shape[3])
         if spatial_mask is not None and not ragged:
-            oh, ow = self.output_shape(x.shape[2], x.shape[3])
             keep2d = output_keep_grid(spatial_mask, self.stride, oh, ow)
             if 1.0 - float(keep2d.mean()) < config.dense_threshold:
                 # Compute dense, then zero dropped positions to preserve the
@@ -1173,33 +869,11 @@ class _ConvOp:
                 zero_out = keep2d
                 spatial_mask = None
 
-        if channel_mask is None and spatial_mask is None:
-            on_dispatch("dense")
-            # Dense fast path on the same zero-copy kernels as the sparse
-            # paths: channels-first unfold into the per-thread workspace,
-            # then per-sample (Cout, K) @ (K, OH*OW) GEMM slices straight
-            # into the NCHW output.  Per-sample slicing makes this path
-            # batch-invariant whether or not the config demands it — the
-            # flat-GEMM variant it replaces saved no copies and broke the
-            # invariance contract.
-            n, c = x.shape[:2]
-            oh, ow = self.output_shape(x.shape[2], x.shape[3])
-            k = self.weight.shape[2]
-            out_c = self.weight.shape[0]
-            arena = plan.arena
-            col = F.im2col_t(
-                x, k, self.stride, self.padding,
-                out=arena.take("im2col", (n, c * k * k, oh * ow), x.dtype),
-                tile_rows=F.default_tile_rows(c, k, ow, x.dtype.itemsize),
-            )
-            out = np.empty((n, out_c, oh, ow), dtype=x.dtype)
-            _matmul_into(self.weight.reshape(out_c, -1), col, out.reshape(n, out_c, oh * ow))
-            if self.bias is not None:
-                out += self.bias.reshape(1, out_c, 1, 1)
-        else:
-            # ``ragged_mode="never"`` is the pre-ragged dispatch, spatial
-            # masks included: they run the per-sample gather loop.
-            never = spatial_mask is not None and config.ragged_mode == "never"
+        arena = plan.arena
+        if spatial_mask is not None:
+            # ``ragged_mode="never"`` is the pre-ragged dispatch: spatial
+            # masks run the per-sample gather loop.
+            never = config.ragged_mode == "never"
             out = sparse_conv2d(
                 x,
                 self.weight,
@@ -1208,15 +882,21 @@ class _ConvOp:
                 self.padding,
                 channel_mask=channel_mask,
                 spatial_mask=spatial_mask,
-                cache=plan.cache,
-                cache_key=self.key,
-                batch_invariant=config.batch_invariant,
-                arena=plan.arena,
-                ragged=ragged,
+                arena=arena,
                 kept_quantum=config.kept_quantum,
                 strategy="per_position" if never else None,
                 on_dispatch=on_dispatch,
             )
+        elif channel_mask is not None:
+            on_dispatch("channel")
+            out = _channel_conv(
+                x, self.wt, self.bias, self.weight.shape[2], self.stride, self.padding,
+                channel_mask, quantum=config.kept_quantum if ragged else 1,
+                arena=arena, oh=oh, ow=ow,
+            )
+        else:
+            on_dispatch("dense")
+            out = _dense_conv(x, self.weight, self.bias, self.stride, self.padding, arena, oh, ow)
         if zero_out is not None:
             out *= zero_out[:, None, :, :]
         if self.relu:
@@ -1241,7 +921,6 @@ class _ConvOp:
                             "strategy": strategy,
                             "kind": obs_geo[7],
                             "kept": obs_geo[8],
-                            "cache_hits": plan.cache.hits - obs_cache0,
                             "hw": f"{obs_geo[5]}x{obs_geo[6]}",
                             "batch": int(x.shape[0]),
                         },
@@ -1446,8 +1125,8 @@ class ExecutionPlan:
 
     Compilation happens once per model (executor construction): the layer
     list is flattened, eval-mode Conv→BN(→ReLU) chains are folded into
-    single ops, a :class:`WeightSliceCache` is allocated and shared by every
-    convolution, and per-geometry output shapes are memoized.  ``run``
+    single ops (each keeping its fused weight in NCHW and channel-major
+    layout), and per-geometry output shapes are memoized.  ``run``
     threads a :class:`_MaskState` through the ops so each pruning site arms
     the convolution that consumes its masks.
     """
@@ -1455,20 +1134,11 @@ class ExecutionPlan:
     #: Fine-grained dispatch-counter labels (satellite telemetry); the
     #: legacy dense/sparse/ragged totals are kept in sync for callers
     #: that predate per-strategy counting.
-    DISPATCH_KINDS = (
-        "per_input",
-        "grouped",
-        "stacked",
-        "ragged",
-        "ragged_spatial",
-        "per_position",
-        "dense",
-    )
+    DISPATCH_KINDS = ("channel", "ragged_spatial", "per_position", "dense")
 
     def __init__(self, ops: List[object], config: PlanConfig):
         self.ops = ops
         self.config = config
-        self.cache = WeightSliceCache(config.cache_entries)
         self.arenas = ArenaPool()
         self._dispatch_lock = threading.Lock()
         self.dense_dispatches = 0
@@ -1492,26 +1162,20 @@ class ExecutionPlan:
     def count_dispatch(self, kind: str) -> None:
         """Thread-safe dispatch telemetry (workers share one plan).
 
-        ``kind`` is a fine-grained path label — ``"per_input"``,
-        ``"grouped"``, ``"stacked"``, ``"ragged"``, ``"ragged_spatial"``,
-        ``"per_position"`` or ``"dense"`` (the legacy ``"sparse"`` is
-        accepted and counted as grouped).  The aggregate
+        ``kind`` is one of :attr:`DISPATCH_KINDS`.  The aggregate
         dense/sparse/ragged counters are updated alongside the
         per-strategy breakdown so existing consumers keep working:
-        kept-position bucketing counts as a ragged dispatch, the
-        per-position oracle as a sparse one.
+        kept-position bucketing counts as a ragged dispatch, the channel
+        kernel and the per-position oracle as sparse ones.
         """
         with self._dispatch_lock:
+            self.dispatch_counts[kind] += 1
             if kind == "dense":
                 self.dense_dispatches += 1
-                self.dispatch_counts["dense"] += 1
-            elif kind in ("ragged", "ragged_spatial"):
+            elif kind == "ragged_spatial":
                 self.ragged_dispatches += 1
-                self.dispatch_counts[kind] += 1
             else:
                 self.sparse_dispatches += 1
-                fine = kind if kind in self.dispatch_counts else "grouped"
-                self.dispatch_counts[fine] += 1
 
     def arena_stats(self) -> Dict[str, int]:
         """Merged workspace counters across every worker thread."""
@@ -1605,23 +1269,13 @@ class ExecutionPlan:
             x = op.run(x, state, self)
         return None
 
-    @property
-    def cache_stats(self) -> Dict[str, int]:
-        return self.cache.stats
-
     def reset_stats(self) -> None:
-        """Zero dispatch and cache counters; cached weight slices survive.
-
-        Telemetry resets (e.g. :meth:`repro.serve.InferenceSession.reset_stats`)
-        must not throw away the gathered slices — steady-state traffic keeps
-        hitting them — so this only clears the counters.
-        """
+        """Zero the dispatch counters."""
         with self._dispatch_lock:
             self.dense_dispatches = 0
             self.sparse_dispatches = 0
             self.ragged_dispatches = 0
             self.dispatch_counts = dict.fromkeys(self.DISPATCH_KINDS, 0)
-        self.cache.reset_counters()
 
     def describe(self) -> str:
         """Human-readable op listing (for docs and debugging)."""
@@ -1639,9 +1293,8 @@ class SparseSequentialExecutor:
     ``Linear`` and ``DynamicPruning`` layers by compiling it into an
     :class:`ExecutionPlan` once at construction.  When a ``DynamicPruning``
     layer fires, its masks are computed exactly as in the dense path and
-    the next convolution runs sparsely: samples are grouped by channel-mask
-    signature (one GEMM per group) and only kept columns' output positions
-    are computed.
+    the next convolution runs sparsely: only each sample's kept channels
+    and kept columns' output positions are computed.
 
     This is the deployment interpreter for the paper's Fig. 1 — the dense
     instrumented model is the training/verification vehicle, this executor
@@ -1702,7 +1355,7 @@ class _BlockPlan:
 class ResNetPlan(ExecutionPlan):
     """Compiled plan for the paper's CIFAR ResNet (stem/blocks/classifier).
 
-    Shares the op primitives, weight-slice cache, and dispatch policy with
+    Shares the op primitives and dispatch policy with
     :class:`ExecutionPlan`; the residual topology is encoded structurally
     instead of as a flat op list.
     """

@@ -8,7 +8,7 @@ becomes an operable system here:
   instrumentation, and its compiled plan without caller boilerplate.
 * :mod:`~repro.serve.session` — :class:`InferenceSession`, one stable
   inference API: bounded request queue, micro-batching scheduler, and
-  per-session telemetry (latency quantiles, occupancy, cache hit rate).
+  per-session telemetry (latency quantiles, occupancy, kernel dispatch counts).
 * :mod:`~repro.serve.cascade` — :class:`CascadeSession`, confidence-gated
   cascade serving over a sparsity-ordered family of registry artifacts
   (``repro serve --cascade``).

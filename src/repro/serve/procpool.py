@@ -38,9 +38,8 @@ Construction goes through the engine factory::
 and the engine drops into :class:`~repro.serve.InferenceSession`
 unchanged (it declares ``thread_safe``, so N session threads dispatch to
 the pool concurrently).  It additionally declares ``shards_by_bucket``:
-the session scheduler routes same-bucket windows (PR 4's kept-count
-buckets) to the same process, keeping each process's
-``WeightSliceCache`` warm for one kept-count population.
+the session scheduler routes same-bucket windows (kept-count buckets)
+to the same process.
 """
 
 from __future__ import annotations
@@ -332,7 +331,7 @@ class ProcPoolEngine(EngineProtocol):
     backend = "procpool"
     thread_safe = True
     #: The session scheduler may pass ``forward(x, shard=bucket)`` so
-    #: same-bucket windows pin to one process (warm per-kept-count cache).
+    #: same-bucket windows pin to one process.
     shards_by_bucket = True
 
     def __init__(

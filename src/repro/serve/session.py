@@ -17,7 +17,7 @@ Scheduling model (three knobs):
   pays at most this much extra latency.
 * ``workers`` — how many worker threads pull windows off the shared
   queue.  Plan-backed engines are thread-safe (read-only fused weights,
-  per-thread workspace arenas, locked weight-slice cache — see
+  per-thread workspace arenas — see
   :attr:`~repro.core.engine.EngineProtocol.thread_safe`), so N workers
   run the engine concurrently and compute-bound traffic scales with
   cores; an engine that does not declare thread safety is transparently
@@ -44,7 +44,7 @@ backward-compatible view over those instruments (p50/p95 are streaming
 histogram estimates — no sample list is kept), and
 :meth:`InferenceSession.metrics_text` exposes the whole registry in
 Prometheus text format.  :meth:`~InferenceSession.reset_stats` zeroes
-counters but keeps warmed state (compiled plan, cached weight slices).
+counters but keeps warmed state (compiled plan, workspace arenas).
 When a :class:`repro.obs.Tracer` is installed, every submitted request
 carries a trace context and the scheduler emits ``request`` /
 ``queue_wait`` / ``window_assembly`` / ``engine_execute`` spans around
@@ -117,8 +117,7 @@ class SessionConfig:
     shard_by_bucket:
         When the engine declares ``shards_by_bucket`` (the process-pool
         backend), pass each window's scheduling bucket as a shard hint so
-        same-bucket windows pin to the same worker process — its
-        weight-slice cache stays warm for one kept-count population.
+        same-bucket windows pin to the same worker process.
         Ignored for engines without sharding; purely a locality knob
         (responses are bit-identical either way).
     """
@@ -271,7 +270,7 @@ class InferenceSession:
         # shutdown sentinels (it would never be answered).
         self._submit_lock = threading.Lock()
         # Engines that declare thread_safe (the plan-backed ones: read-only
-        # fused weights, per-thread arenas, locked slice cache) run
+        # fused weights, per-thread arenas) run
         # concurrently across workers and predict() callers.  Everything
         # else is serialized behind this lock.
         self._engine_lock: Optional[threading.Lock] = (
@@ -805,7 +804,7 @@ class InferenceSession:
         return global_registry().expose_text()
 
     def reset_stats(self) -> None:
-        """Zero telemetry and engine counters; keep warmed caches/plans."""
+        """Zero telemetry and engine counters; keep warmed plans and workspaces."""
         for instrument in (
             self._c_requests,
             self._c_samples,

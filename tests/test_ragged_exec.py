@@ -7,8 +7,8 @@ Contract under test (see ``repro/core/sparse_exec.py`` and ISSUE 4):
 * ``sparse_conv2d(ragged=True)`` equals the dense masked reference and is
   **bit-identical** to per-request execution for every batch composition,
   quantum, and bucket-boundary kept-count;
-* threshold-mode plans route through the ragged dispatcher (not the
-  per-sample signature fallback), on conv stacks and ResNets alike;
+* threshold-mode plans run the channel kernel with rounded kept counts,
+  on conv stacks and ResNets alike;
 * the ``adaptive`` engine backend and FBS :class:`GatedModel` compilation
   open the dynamic-inference workload on the batched engine;
 * the serving scheduler's kept-count bucketing groups windows without
@@ -32,13 +32,13 @@ from repro.core.sparse_exec import (
     PlanConfig,
     SparseResNetExecutor,
     SparseSequentialExecutor,
-    WeightSliceCache,
     dense_reference_forward,
     sparse_conv2d,
 )
 from repro.models import build_conv_stack
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
+from repro.obs import PlanProfiler
 
 TIGHT = dict(rtol=1e-4, atol=1e-5)
 
@@ -48,6 +48,19 @@ def dense_conv(x, weight, bias, stride, padding):
         Tensor(x), Tensor(weight), None if bias is None else Tensor(bias), stride, padding
     )
     return out.data
+
+
+def channel_kinds(executor, x):
+    """``executor(x)`` and the geometry kinds of its channel-kernel calls.
+
+    The kind is ``"ragged"`` exactly when the call rounded kept counts up
+    to ``kept_quantum``.
+    """
+    executor.plan.profiler = PlanProfiler()
+    out = executor(x)
+    rows = executor.plan.profiler.snapshot()
+    executor.plan.profiler = None
+    return out, {row["geometry"][7] for row in rows if row["strategy"] == "channel"}
 
 
 def threshold_stack(width=16, depth=4, seed=0, threshold=0.05, spatial=False):
@@ -199,8 +212,8 @@ class TestRaggedConvEquivalence:
         mask[1, :5] = False         # 3/8 kept -> sub-width bucket
         ragged = sparse_conv2d(x, w, None, 1, 1, channel_mask=mask,
                                ragged=True, kept_quantum=q)
-        grouped = sparse_conv2d(x, w, None, 1, 1, channel_mask=mask)
-        np.testing.assert_allclose(ragged, grouped, **TIGHT)
+        exact = sparse_conv2d(x, w, None, 1, 1, channel_mask=mask)
+        np.testing.assert_allclose(ragged, exact, **TIGHT)
         ref = dense_conv(x * mask[:, :, None, None], w, None, 1, 1)
         np.testing.assert_allclose(ragged, ref, **TIGHT)
 
@@ -214,37 +227,6 @@ class TestRaggedConvEquivalence:
         np.testing.assert_array_equal(out[0], 0.0)
         np.testing.assert_array_equal(out[2], 0.0)
         assert np.abs(out[1]).sum() > 0
-
-    def test_cache_is_value_neutral(self, rng):
-        x = rng.normal(size=(5, 10, 8, 8)).astype(np.float32)
-        w = rng.normal(size=(4, 10, 3, 3)).astype(np.float32)
-        mask = rng.random((5, 10)) < rng.uniform(0.3, 0.9, size=(5, 1))
-        mask[:, 0] = True
-        masked = x * mask[:, :, None, None]
-        cache = WeightSliceCache()
-        cached = sparse_conv2d(masked, w, None, 1, 1, channel_mask=mask,
-                               ragged=True, cache=cache, cache_key="r")
-        again = sparse_conv2d(masked, w, None, 1, 1, channel_mask=mask,
-                              ragged=True, cache=cache, cache_key="r")
-        bare = sparse_conv2d(masked, w, None, 1, 1, channel_mask=mask, ragged=True)
-        np.testing.assert_array_equal(cached, again)
-        np.testing.assert_array_equal(cached, bare)
-        assert cache.hits > 0
-
-    def test_padded_and_exact_cache_entries_coexist(self, rng):
-        # The same signature cached padded (ragged) and unpadded (grouped)
-        # must not collide.
-        w = rng.normal(size=(2, 8, 3, 3)).astype(np.float32)
-        kept = np.array([1, 4, 6])
-        sig = b"sig"
-        cache = WeightSliceCache()
-        exact = cache.get("k", sig, w, kept)
-        padded = cache.get("k", sig, w, kept, pad_to=4)
-        assert exact.shape == (2, 3 * 9)
-        assert padded.shape == (2, 4 * 9)
-        np.testing.assert_array_equal(padded[:, : 3 * 9], exact)
-        np.testing.assert_array_equal(padded[:, 3 * 9 :], 0.0)
-        assert cache.stats["misses"] == 2
 
 
 class TestRaggedBitIdentity:
@@ -292,9 +274,8 @@ class TestThresholdModePlans:
             stack, PlanConfig(batch_invariant=True, dense_threshold=0.0)
         )
         x = rng.normal(size=(6, 3, 12, 12)).astype(np.float32)
-        out = executor(x)
-        assert executor.plan.ragged_dispatches > 0
-        assert executor.plan.sparse_dispatches == 0
+        out, kinds = channel_kinds(executor, x)
+        assert kinds == {"ragged"}
         ref = dense_reference_forward(stack, x)
         np.testing.assert_allclose(out, ref, rtol=1e-3, atol=1e-5)
 
@@ -314,9 +295,8 @@ class TestThresholdModePlans:
             stack, PlanConfig(ragged_mode="never", dense_threshold=0.0)
         )
         x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
-        out = executor(x)
-        assert executor.plan.ragged_dispatches == 0
-        assert executor.plan.sparse_dispatches > 0
+        out, kinds = channel_kinds(executor, x)
+        assert kinds and "ragged" not in kinds
         np.testing.assert_allclose(
             out, dense_reference_forward(stack, x), rtol=1e-3, atol=1e-5
         )
@@ -329,8 +309,8 @@ class TestThresholdModePlans:
             stack, PlanConfig(ragged_mode="always", dense_threshold=0.0)
         )
         x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
-        out = executor(x)
-        assert executor.plan.ragged_dispatches > 0
+        out, kinds = channel_kinds(executor, x)
+        assert kinds == {"ragged"}
         np.testing.assert_allclose(
             out, dense_reference_forward(stack, x), rtol=1e-3, atol=1e-5
         )
@@ -381,8 +361,8 @@ class TestThresholdModePlans:
             model, PlanConfig(batch_invariant=True, dense_threshold=0.0)
         )
         x = rng.normal(size=(4, 3, 16, 16)).astype(np.float32)
-        out = executor(x)
-        assert executor.plan.ragged_dispatches > 0
+        out, kinds = channel_kinds(executor, x)
+        assert kinds == {"ragged"}
         with no_grad():
             dense = model(Tensor(x)).data
         np.testing.assert_allclose(out, dense, rtol=2e-3, atol=2e-4)
@@ -404,7 +384,8 @@ class TestAdaptiveBackend:
         engine(x)
         stats = engine.stats()
         assert stats["backend"] == "adaptive"
-        assert stats["ragged_dispatches"] > 0
+        assert engine.plan.config.ragged_mode == "always"
+        assert stats["dispatch"]["channel"] > 0
 
     def test_model_is_adaptive_detection(self):
         assert model_is_adaptive(threshold_stack())

@@ -429,6 +429,41 @@ class TestLegacyDispatch:
         printed = capsys.readouterr().out
         assert "mismatch" in printed and "unknown" in printed
 
+    def test_old_manifest_cache_entries_is_ignored(self, tmp_path, capsys):
+        import json
+        import os
+
+        from repro.cli import main
+
+        handle = slim_vgg_handle()
+        registry = ModelRegistry(str(tmp_path))
+        registry.save("plain", handle)
+        registry.save("cached", handle)
+        path = os.path.join(registry.resolve("cached")[1], "artifact.json")
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        # Older versions saved the weight-slice cache's capacity here.
+        manifest["plan"]["cache_entries"] = 256
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+
+        requests = make_requests(4, seed=12)
+
+        def serve(name):
+            with InferenceSession.from_registry(
+                registry, name, backend="sparse", session=SessionConfig(max_batch=4)
+            ) as session:
+                return session.infer_many(requests)
+
+        assert registry.load("cached").plan_config == registry.load("plain").plan_config
+        for out, ref in zip(serve("cached"), serve("plain")):
+            np.testing.assert_array_equal(out, ref)
+        assert [row["name"] for row in registry.list_artifacts()] == ["cached", "plain"]
+        assert main(["registry", "ls", "--registry", str(tmp_path)]) == 0
+        assert "cached" in capsys.readouterr().out
+        with pytest.raises(TypeError):
+            PlanConfig(cache_entries=1)
+
     def test_removed_tuner_options_raise(self, monkeypatch):
         from repro.serve import ProcPoolEngine
 
@@ -490,25 +525,24 @@ class TestInferenceSession:
         assert 0.0 < stats["occupancy"] <= 1.0
         assert stats["latency_ms"]["p95"] >= stats["latency_ms"]["p50"] > 0.0
 
-    def test_cache_stats_reset_keeps_entries(self):
+    def test_reset_stats_keeps_warm_workspace(self):
         session = InferenceSession.from_model(
             build_conv_stack(0.7, width=16, depth=3, granularity="batch"),
             backend="sparse",
         )
         batch = np.concatenate(make_requests(4, image_size=16, seed=10))
         session.predict(batch)
-        session.predict(batch)
-        before = session.stats()["engine"]["cache"]
-        assert before["hits"] > 0 and before["entries"] > 0
+        before = session.stats()["engine"]
+        assert before["dispatch"]["channel"] > 0
         session.reset_stats()
-        after = session.stats()["engine"]["cache"]
-        # Counters reset; warmed slices survive the reset.
-        assert after["hits"] == 0 and after["misses"] == 0
-        assert after["entries"] == before["entries"]
-        # Steady-state traffic resumes hitting the warm cache immediately.
+        after = session.stats()["engine"]
+        # Counters reset; the warmed workspace survives the reset.
+        assert sum(after["dispatch"].values()) == 0
+        assert after["workspace"]["bytes"] == before["workspace"]["bytes"]
+        # Steady-state traffic resumes with no scratch allocation.
         session.predict(batch)
-        resumed = session.stats()["engine"]["cache"]
-        assert resumed["misses"] == 0 and resumed["hits"] > 0
+        resumed = session.stats()["engine"]["workspace"]
+        assert resumed["allocations"] == before["workspace"]["allocations"]
         session.close()
 
     def test_multi_sample_requests_and_shapes(self):

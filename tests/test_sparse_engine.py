@@ -4,11 +4,11 @@ Contract under test (see ``repro/core/sparse_exec.py``):
 
 * batched ``sparse_conv2d`` output equals the dense masked reference across
   stride / padding / mask-density grids, for every batching regime (all
-  samples sharing one mask signature, all distinct, and mixed);
+  samples sharing one mask, all distinct, and mixed);
 * degenerate masks behave by the paper's skip semantics — an all-dropped
   channel set or an empty spatial mask yields exact zeros, not bias;
-* the weight-slice cache and the plan's dense fast path are pure
-  optimizations: they never change the computed values.
+* the plan's dense fast path is a pure optimization: it never changes
+  the computed values.
 """
 
 import numpy as np
@@ -21,10 +21,7 @@ from repro.core.sparse_exec import (
     PlanConfig,
     SparseResNetExecutor,
     SparseSequentialExecutor,
-    WeightSliceCache,
     dense_reference_forward,
-    group_by_mask_signature,
-    mask_signature,
     sparse_conv2d,
 )
 from repro.models import build_conv_stack
@@ -38,39 +35,6 @@ def dense_conv(x, weight, bias, stride, padding):
 
 
 TIGHT = dict(rtol=1e-4, atol=1e-5)
-
-
-# ----------------------------------------------------------------------
-# Mask signatures and grouping
-# ----------------------------------------------------------------------
-class TestSignatures:
-    def test_signature_distinguishes_masks(self):
-        a = np.array([True, False, True, True])
-        b = np.array([True, False, True, False])
-        assert mask_signature(a) == mask_signature(a.copy())
-        assert mask_signature(a) != mask_signature(b)
-
-    def test_grouping_partitions_batch(self, rng):
-        mask = np.array(
-            [
-                [True, True, False],
-                [False, True, True],
-                [True, True, False],
-                [False, True, True],
-                [True, True, False],
-            ]
-        )
-        groups = group_by_mask_signature(mask)
-        assert len(groups) == 2
-        all_idx = np.sort(np.concatenate([idx for _, idx, _ in groups]))
-        np.testing.assert_array_equal(all_idx, np.arange(5))
-        for _, idx, kept in groups:
-            for i in idx:
-                np.testing.assert_array_equal(np.flatnonzero(mask[i]), kept)
-
-    def test_single_signature_for_batch_granularity(self):
-        mask = np.broadcast_to(np.array([True, False, True]), (8, 3))
-        assert len(group_by_mask_signature(mask)) == 1
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +59,7 @@ class TestBatchedChannelEquivalence:
     def test_mixed_signature_batch_matches_per_sample(self, rng):
         x = rng.normal(size=(6, 10, 8, 8)).astype(np.float32)
         w = rng.normal(size=(4, 10, 3, 3)).astype(np.float32)
-        # Three signatures over six samples, shuffled so grouping has to
+        # Three masks over six samples, shuffled so grouping has to
         # reassemble non-contiguous index sets.
         base = np.stack([rng.random(10) < d for d in (0.3, 0.6, 0.9)])
         mask = base[np.array([0, 1, 2, 1, 0, 2])]
@@ -158,48 +122,7 @@ class TestBatchedSpatialEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Weight-slice cache
-# ----------------------------------------------------------------------
-class TestWeightSliceCache:
-    def test_cache_returns_identical_results(self, rng):
-        x = rng.normal(size=(4, 8, 8, 8)).astype(np.float32)
-        w = rng.normal(size=(4, 8, 3, 3)).astype(np.float32)
-        mask = rng.random((4, 8)) < 0.5
-        mask[:, 0] = True
-        masked = x * mask[:, :, None, None]
-        cache = WeightSliceCache()
-        first = sparse_conv2d(masked, w, None, 1, 1, channel_mask=mask, cache=cache, cache_key=0)
-        assert cache.misses > 0 and cache.hits == 0
-        second = sparse_conv2d(masked, w, None, 1, 1, channel_mask=mask, cache=cache, cache_key=0)
-        assert cache.hits == cache.misses
-        np.testing.assert_array_equal(first, second)
-        uncached = sparse_conv2d(masked, w, None, 1, 1, channel_mask=mask)
-        np.testing.assert_array_equal(first, uncached)
-
-    def test_keys_disambiguate_layers(self, rng):
-        w1 = rng.normal(size=(2, 4, 3, 3)).astype(np.float32)
-        w2 = rng.normal(size=(2, 4, 3, 3)).astype(np.float32)
-        x = rng.normal(size=(1, 4, 5, 5)).astype(np.float32)
-        mask = np.array([[True, False, True, False]])
-        cache = WeightSliceCache()
-        a = sparse_conv2d(x, w1, None, 1, 1, channel_mask=mask, cache=cache, cache_key="a")
-        b = sparse_conv2d(x, w2, None, 1, 1, channel_mask=mask, cache=cache, cache_key="b")
-        assert cache.misses == 2
-        assert not np.allclose(a, b)
-
-    def test_eviction_caps_entries(self):
-        cache = WeightSliceCache(max_entries=2)
-        w = np.ones((2, 8, 3, 3), dtype=np.float32)
-        for i in range(4):
-            kept = np.array([i, i + 1])
-            sig = mask_signature(np.isin(np.arange(8), kept))
-            cache.get("k", sig, w, kept)
-        assert len(cache) == 2
-        assert cache.stats["misses"] == 4
-
-
-# ----------------------------------------------------------------------
-# ExecutionPlan: fusion, dispatch, cache reuse across calls
+# ExecutionPlan: fusion and dispatch
 # ----------------------------------------------------------------------
 def pruned_stack(channel_ratio=0.6, spatial_ratio=0.0, width=12, seed=0, granularity="input"):
     rng = np.random.default_rng(seed)
@@ -258,26 +181,13 @@ class TestExecutionPlan:
         assert always_dense.plan.sparse_dispatches == 0
         assert always_dense.plan.dense_dispatches > 0
 
-    def test_cache_persists_across_calls(self, rng):
-        stack = pruned_stack(granularity="batch")
-        executor = SparseSequentialExecutor(stack, PlanConfig(dense_threshold=0.0))
-        x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
-        executor(x)
-        misses_after_first = executor.plan.cache.misses
-        assert misses_after_first > 0
-        executor(x)
-        # Attention masks are deterministic per input: second call reuses
-        # every gathered slice.
-        assert executor.plan.cache.misses == misses_after_first
-        assert executor.plan.cache.hits >= misses_after_first
-
     def test_batch_granularity_collapses_to_one_group(self, rng):
         stack = pruned_stack(granularity="batch")
         executor = SparseSequentialExecutor(stack, PlanConfig(dense_threshold=0.0))
         x = rng.normal(size=(6, 3, 10, 10)).astype(np.float32)
         executor(x)
-        # Two masked convs, one signature each -> exactly two gathers.
-        assert executor.plan.cache.misses == 2
+        # Two masked convs, each one channel-kernel call over one group.
+        assert executor.plan.dispatch_counts["channel"] == 2
         dense = dense_reference_forward(stack, x)
         np.testing.assert_allclose(executor(x), dense, rtol=1e-3, atol=1e-5)
 
@@ -315,15 +225,6 @@ class TestResNetPlanEquivalence:
         with no_grad():
             dense = model(Tensor(x)).data
         np.testing.assert_allclose(executor(x), dense, rtol=2e-3, atol=2e-4)
-
-    def test_resnet_cache_reuse_across_calls(self, rng):
-        model = self._model(channel_ratio=0.75)
-        executor = SparseResNetExecutor(model, PlanConfig(dense_threshold=0.0))
-        x = rng.normal(size=(2, 3, 16, 16)).astype(np.float32)
-        executor(x)
-        misses = executor.plan.cache.misses
-        executor(x)
-        assert executor.plan.cache.misses == misses
 
 
 # ----------------------------------------------------------------------
@@ -381,19 +282,18 @@ class TestWorkspaceReuse:
 class TestPerSampleBitIdentity:
     """Batch composition must be unobservable, bit for bit.
 
-    Since the kernel-layer rewrite every channel-path GEMM runs as
-    fixed-shape per-sample slices, so this holds for the stacked and the
-    grouped path alike — with or without ``batch_invariant``.
+    The channel kernel runs every GEMM as fixed-shape per-sample slices,
+    so this holds for equal and mixed kept counts, at any map size —
+    with or without ``batch_invariant``.
     """
 
-    def test_stacked_path_matches_per_sample_exactly(self, rng):
-        # Distinct equal-count masks at a small map -> stacked fast path.
+    def test_distinct_equal_count_masks_match_per_sample_exactly(self, rng):
+        # Distinct top-k masks: one exact-count group, one batched GEMM.
         x = rng.normal(size=(6, 12, 8, 8)).astype(np.float32)
         w = rng.normal(size=(5, 12, 3, 3)).astype(np.float32)
         b = rng.normal(size=(5,)).astype(np.float32)
         order = np.stack([rng.permutation(12) for _ in range(6)])
-        mask = order < 5  # five kept channels each, all signatures distinct
-        assert len(group_by_mask_signature(mask)) > 1
+        mask = order < 5  # five kept channels each, all masks distinct
         masked = x * mask[:, :, None, None]
         batched = sparse_conv2d(masked, w, b, 1, 1, channel_mask=mask)
         for i in range(6):
@@ -402,8 +302,8 @@ class TestPerSampleBitIdentity:
             )
             np.testing.assert_array_equal(batched[i : i + 1], single)
 
-    def test_grouped_path_matches_per_sample_exactly(self, rng):
-        # Large map (> stacked cutoff) with repeated signatures -> grouped.
+    def test_repeated_masks_at_large_map_match_per_sample_exactly(self, rng):
+        # A larger map, repeated masks with two kept counts: two groups.
         x = rng.normal(size=(4, 6, 26, 26)).astype(np.float32)
         w = rng.normal(size=(4, 6, 3, 3)).astype(np.float32)
         base = np.stack([rng.random(6) < d for d in (0.5, 0.8)])
@@ -440,23 +340,11 @@ def test_dispatch_counters_fine_grained_and_legacy_agree(rng):
     engine(rng.normal(size=(4, 3, 16, 16)).astype(np.float32))
     stats = engine.stats()
     counts = stats["dispatch"]
-    assert set(counts) == {
-        "per_input",
-        "grouped",
-        "stacked",
-        "ragged",
-        "ragged_spatial",
-        "per_position",
-        "dense",
-    }
-    assert (
-        counts["per_input"] + counts["grouped"] + counts["stacked"]
-        + counts["per_position"]
-        == stats["sparse_dispatches"]
-    )
-    assert counts["ragged"] + counts["ragged_spatial"] == stats["ragged_dispatches"]
+    assert set(counts) == {"channel", "ragged_spatial", "per_position", "dense"}
+    assert counts["channel"] + counts["per_position"] == stats["sparse_dispatches"]
+    assert counts["ragged_spatial"] == stats["ragged_dispatches"]
     assert counts["dense"] == stats["dense_dispatches"]
-    assert sum(counts.values()) > 0
+    assert counts["channel"] > 0
 
 
 def test_dispatch_counters_reset(rng):

@@ -114,10 +114,12 @@ def _keep_grid(smask, stride, oh, ow):
     return keep
 
 
-def _masked_reference(x, weight, bias, stride, padding, cmask, smask):
+def _masked_reference(x, weight, bias, stride, padding, cmask, smask=None):
     """The paper's semantics in float64: dense conv of the masked input,
-    dropped output positions zero."""
-    xm = x.astype(np.float64) * smask[:, None]
+    dropped output positions zero (no spatial mask keeps every column)."""
+    xm = x.astype(np.float64)
+    if smask is not None:
+        xm = xm * smask[:, None]
     if cmask is not None:
         xm = xm * cmask[:, :, None, None]
     k = weight.shape[2]
@@ -127,6 +129,8 @@ def _masked_reference(x, weight, bias, stride, padding, cmask, smask):
     windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     out = np.einsum("nchwij,ocij->nohw", windows[:, :, :oh, :ow], weight.astype(np.float64))
     out += bias.astype(np.float64)[None, :, None, None]
+    if smask is None:
+        return out
     return out * _keep_grid(smask, stride, oh, ow)[:, None]
 
 
@@ -157,6 +161,75 @@ def test_spatial_default_dispatch_contract(case):
 
     dropped = ~_keep_grid(smask, stride, out.shape[2], out.shape[3])
     assert not out.transpose(0, 2, 3, 1)[dropped].any()
+
+
+@st.composite
+def channel_cases(draw):
+    """A conv geometry with a channel mask, a grouping quantum and a permutation.
+
+    Masks keep equal (top-k) or ragged counts, include an all-dropped or an
+    all-kept row, or sit on both sides of a quantum boundary.
+    """
+    n = draw(st.integers(1, 6))
+    cin = draw(st.integers(1, 12))
+    cout = draw(st.integers(1, 5))
+    kernel = draw(st.sampled_from([1, 3]))
+    stride = draw(st.sampled_from([1, 2]))
+    padding = draw(st.integers(0, 2))
+    odd = [size for size in range(1, 12, 2) if size >= kernel - 2 * padding]
+    h = draw(st.sampled_from(odd))
+    w = draw(st.sampled_from(odd))
+    ragged = draw(st.booleans())
+    quantum = draw(st.sampled_from([1, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    any_counts = st.lists(st.integers(0, cin), min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["topk", "ragged", "all_dropped", "all_kept", "boundary"]))
+    if kind == "topk":
+        counts = [draw(st.integers(1, cin))] * n
+    elif kind == "ragged":
+        counts = draw(any_counts)
+    elif kind == "boundary":
+        near = st.sampled_from([quantum - 1, quantum, quantum + 1])
+        counts = [min(c, cin) for c in draw(st.lists(near, min_size=n, max_size=n))]
+    else:
+        counts = draw(any_counts)
+        counts[draw(st.integers(0, n - 1))] = 0 if kind == "all_dropped" else cin
+    cmask = np.zeros((n, cin), dtype=bool)
+    for i, count in enumerate(counts):
+        cmask[i, rng.choice(cin, size=count, replace=False)] = True
+
+    x = rng.normal(size=(n, cin, h, w)).astype(np.float32)
+    weight = rng.normal(size=(cout, cin, kernel, kernel)).astype(np.float32)
+    bias = rng.normal(size=cout).astype(np.float32)
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    return x, weight, bias, stride, padding, cmask, ragged, quantum, perm
+
+
+@given(channel_cases())
+@settings(max_examples=150, deadline=None)
+def test_channel_kernel_contract(case):
+    # The channel kernel: bit-identical to per-request execution and to
+    # its own permuted run, within round-off of the float64 masked
+    # reference on an unmasked input, exactly zero for all-dropped rows.
+    x, weight, bias, stride, padding, cmask, ragged, quantum, perm = case
+
+    def run(rows):
+        return sparse_conv2d(
+            x[rows], weight, bias, stride, padding, cmask[rows],
+            ragged=ragged, kept_quantum=quantum,
+        )
+
+    every = np.arange(x.shape[0])
+    out = run(every)
+    solo = np.concatenate([run(every[i : i + 1]) for i in every])
+    np.testing.assert_array_equal(out, solo)
+    np.testing.assert_array_equal(run(perm), out[perm])
+
+    kept = cmask.any(axis=1)
+    reference = _masked_reference(x, weight, bias, stride, padding, cmask)
+    np.testing.assert_allclose(out[kept], reference[kept], rtol=1e-4, atol=1e-4)
+    assert not out[~kept].any()
 
 
 @given(conv_inputs(), st.data())

@@ -149,7 +149,6 @@ def _run(x, weight, bias, stride, padding, cm, sm, strategy, quantum=4):
         sm,
         strategy=strategy,
         kept_quantum=quantum,
-        batch_invariant=True,
     )
 
 
