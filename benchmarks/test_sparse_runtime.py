@@ -21,7 +21,8 @@ from contextlib import ExitStack
 import numpy as np
 import pytest
 
-from repro.core.sparse_exec import PlanConfig, dense_reference_forward
+from repro.core.engine import create_engine
+from repro.core.sparse_exec import PlanConfig
 from repro.models import build_conv_stack as conv_stack
 from repro.serve import InferenceSession
 
@@ -56,7 +57,8 @@ def test_sparse_beats_dense_masked(benchmark, batch):
     with session_for(stack) as session:
         t_sparse = benchmark.pedantic(lambda: session.predict(batch), rounds=3, iterations=1)
         t_sparse = timed(lambda: session.predict(batch))
-        t_dense = timed(lambda: dense_reference_forward(stack, batch))
+        dense = create_engine(stack, backend="dense")
+        t_dense = timed(lambda: dense(batch))
 
     print(f"\n[sparse vs dense] dense-masked {t_dense * 1e3:.1f}ms vs "
           f"sparse-skipped {t_sparse * 1e3:.1f}ms -> {t_dense / t_sparse:.2f}x")

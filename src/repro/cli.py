@@ -31,6 +31,7 @@ from typing import List, Optional
 
 from .analysis.experiments import TABLE1_SETTINGS, run_table1_setting
 from .analysis.figures import fig2_series, fig3_series, fig4_composition, render_series
+from .core.engine import available_backends
 from .core.pruning import PruningConfig, instrument_model
 from .core.sensitivity import suggest_upper_bounds
 from .core.training import fit
@@ -600,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--registry", default=None, help="registry root directory")
     p_serve.add_argument("--model", default=None, help="artifact name or name@vN")
-    p_serve.add_argument("--backend", default="auto",
-                         help="engine backend (dense, sparse, auto)")
+    p_serve.add_argument("--backend", default="auto", choices=available_backends(),
+                         help="engine backend")
     p_serve.add_argument("--input", default="-",
                          help="JSONL request file, or - for stdin")
     p_serve.add_argument("--output", default="-",
@@ -675,8 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "fraction of its request latency")
     p_trace.add_argument("--registry", default=None, help="registry root directory")
     p_trace.add_argument("--model", default=None, help="artifact name or name@vN")
-    p_trace.add_argument("--backend", default="auto",
-                         help="engine backend (dense, sparse, auto)")
+    p_trace.add_argument("--backend", default="auto", choices=available_backends(),
+                         help="engine backend")
     p_trace.add_argument("--max-batch", type=int, default=8)
     p_trace.add_argument("--window-ms", type=float, default=2.0)
     p_trace.add_argument("--workers", type=int, default=1)

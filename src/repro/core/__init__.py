@@ -7,7 +7,7 @@
 * :mod:`~repro.core.sensitivity` — block sensitivity analysis (Fig. 3).
 * :mod:`~repro.core.flops` — static and mask-aware FLOPs accounting.
 * :mod:`~repro.core.sparse_exec` — batched, plan-compiled sparse inference.
-* :mod:`~repro.core.engine` — pluggable dense/sparse/auto backends + factory.
+* :mod:`~repro.core.engine` — pluggable dense/sparse/auto/procpool backends + factory.
 * :mod:`~repro.core.training` — shared train/eval loops.
 """
 
@@ -19,7 +19,6 @@ from .engine import (
     SparseEngine,
     available_backends,
     create_engine,
-    model_is_adaptive,
     model_sparsity,
     register_backend,
 )
@@ -50,7 +49,6 @@ from .sparse_exec import (
     ResNetPlan,
     SparseResNetExecutor,
     SparseSequentialExecutor,
-    dense_reference_forward,
     sparse_conv2d,
 )
 from .training import EpochStats, evaluate, fit, train_epoch
@@ -98,7 +96,6 @@ __all__ = [
     "ResNetPlan",
     "SparseSequentialExecutor",
     "SparseResNetExecutor",
-    "dense_reference_forward",
     "EngineProtocol",
     "DenseEngine",
     "SparseEngine",
@@ -106,7 +103,6 @@ __all__ = [
     "register_backend",
     "available_backends",
     "model_sparsity",
-    "model_is_adaptive",
     "greedy_ratio_search",
     "AutotuneResult",
     "AutotuneStep",

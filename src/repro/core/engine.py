@@ -12,21 +12,17 @@ backends behind :func:`create_engine`:
     semantics).  The numerical reference; no plan, no cache.
 ``sparse``
     The plan-compiled mask-skipping executors from
-    :mod:`repro.core.sparse_exec`, dispatched by model family.
+    :mod:`repro.core.sparse_exec`, dispatched by model family.  Each
+    pruning site's mask mode picks its kernels' grouping: threshold-mode
+    (adaptive) sites round kept counts up to a quantum, top-k sites group
+    by exact count.
 ``auto``
     Sparsity-threshold dispatch: inspects the model's configured pruning
     ratios and picks ``sparse`` when any site prunes at least
-    ``auto_threshold`` of its dimension (gather savings beat overhead),
-    falling back to ``dense`` for unpruned models or layer graphs the plan
-    compiler rejects (:class:`~repro.core.sparse_exec.UnsupportedGraphError`).
-``adaptive``
-    The ``sparse`` plan compiled with ``ragged_mode="always"``: every
-    channel mask — adaptive threshold masks *and* fixed top-k masks —
-    executes through kept-count-bucketed GEMMs.  This is the backend for
-    threshold-mode (per-input keep fraction) serving; note that plain
-    ``sparse``/``auto`` already route threshold-mode sites raggedly
-    (``ragged_mode="auto"``), so ``adaptive`` is for forcing the bucketed
-    path uniformly.
+    :data:`AUTO_THRESHOLD` of its dimension (gather savings beat overhead),
+    or whenever the config asks for batch-invariant serving, falling back
+    to ``dense`` for unpruned models or layer graphs the plan compiler
+    rejects (:class:`~repro.core.sparse_exec.UnsupportedGraphError`).
 ``procpool``
     A process-parallel pool of bit-identical engine replicas behind
     :mod:`multiprocessing.shared_memory` transport (``proc_workers=N``) —
@@ -45,7 +41,6 @@ artifact's metadata can name its backend as data.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -70,7 +65,6 @@ __all__ = [
     "create_engine",
     "iter_pruners",
     "model_sparsity",
-    "model_is_adaptive",
     "as_layer_stack",
 ]
 
@@ -200,11 +194,6 @@ def model_sparsity(model: Module) -> float:
     return worst
 
 
-def model_is_adaptive(model: Module) -> bool:
-    """Whether any active pruning site produces ragged (threshold) masks."""
-    return any(pruner.adaptive for pruner in iter_pruners(model) if pruner.active)
-
-
 # ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
@@ -277,9 +266,6 @@ class SparseEngine(EngineProtocol):
     def stats(self) -> Dict[str, object]:
         stats: Dict[str, object] = {
             "backend": self.backend,
-            "dense_dispatches": self.plan.dense_dispatches,
-            "sparse_dispatches": self.plan.sparse_dispatches,
-            "ragged_dispatches": self.plan.ragged_dispatches,
             "dispatch": dict(self.plan.dispatch_counts),
             # All zeros; read only by perfbench/layers.py, which reports
             # them as cache.hit_ratio and cache.entries.
@@ -336,55 +322,29 @@ def available_backends() -> List[str]:
     return sorted(_BACKENDS)
 
 
+#: Smallest configured prune fraction at which ``auto`` compiles a plan for
+#: a direct (not batch-invariant) caller; below it the gather machinery
+#: cannot pay for itself.
+AUTO_THRESHOLD = 0.05
+
+
 def _build_auto(
     model: object,
     config: Optional[PlanConfig] = None,
-    auto_threshold: float = 0.05,
     **kwargs: object,
 ) -> EngineProtocol:
     inner = _unwrap(model)
-    if config is not None and config.batch_invariant:
-        # A batch-invariant config is a serving contract only plan-backed
-        # engines honor; prefer the compiled plan even for unpruned models
-        # (its dense fast path is invariant too).  Only graphs the
-        # compiler rejects fall back to the non-invariant dense forward.
+    # A batch-invariant config is a serving contract only plan-backed
+    # engines honor, so it takes the compiled plan even for unpruned
+    # models (its dense fast path is invariant too).
+    invariant = config is not None and config.batch_invariant
+    if invariant or model_sparsity(inner) >= AUTO_THRESHOLD:
         try:
             return SparseEngine(inner, config, **kwargs)
         except UnsupportedGraphError:
-            return DenseEngine(inner, config, **kwargs)
-    if model_sparsity(inner) < auto_threshold:
-        # Nothing (or next to nothing) to skip: the gather machinery cannot
-        # pay for itself, run the plain dense forward.
-        return DenseEngine(inner, config, **kwargs)
-    try:
-        return SparseEngine(inner, config, **kwargs)
-    except UnsupportedGraphError:
-        # Layer graph the plan compiler does not know — dense fallback.
-        return DenseEngine(inner, config, **kwargs)
-
-
-def _build_adaptive(
-    model: object,
-    config: Optional[PlanConfig] = None,
-    **kwargs: object,
-) -> EngineProtocol:
-    """Plan-backed engine with kept-count-bucketed execution forced on.
-
-    ``ragged_mode="always"`` makes the channel kernel round every
-    :class:`DynamicPruning` channel mask's kept counts — threshold *and*
-    top-k — up to ``kept_quantum``, so mixed adaptive/static deployments
-    group one uniform way.  (FBS
-    :class:`~repro.baselines.dynamic.FBSGate` masks are fixed-ratio top-k
-    with equal kept-counts by construction; they compile on this backend
-    too but keep exact-count grouping — there is no raggedness to
-    bucket.)  The graph must be compilable: unlike ``auto``
-    there is no dense fallback, because a dense fallback could not honor
-    the ragged batch-invariance contract this backend is chosen for.
-    """
-    config = dataclasses.replace(config or PlanConfig(), ragged_mode="always")
-    engine = SparseEngine(_unwrap(model), config, **kwargs)
-    engine.backend = "adaptive"
-    return engine
+            # Layer graph the plan compiler does not know — dense fallback.
+            pass
+    return DenseEngine(inner, config, **kwargs)
 
 
 def _build_procpool(
@@ -396,8 +356,8 @@ def _build_procpool(
     layer, one level up — see :mod:`repro.serve.procpool`).
 
     Accepts ``proc_workers=N`` plus the pool's transport knobs
-    (``slots_per_worker``, ``slot_mb``, ``inner_backend``, and the
-    ``registry``/``ref`` pair for artifact-based worker startup).
+    (``slots_per_worker``, ``slot_mb``, and the ``registry``/``ref`` pair
+    for artifact-based worker startup).
     """
     from ..serve.procpool import ProcPoolEngine
 
@@ -407,7 +367,6 @@ def _build_procpool(
 register_backend("dense", DenseEngine)
 register_backend("sparse", SparseEngine)
 register_backend("auto", _build_auto)
-register_backend("adaptive", _build_adaptive)
 register_backend("procpool", _build_procpool)
 
 
@@ -426,15 +385,15 @@ def create_engine(
         :class:`~repro.core.pruning.InstrumentedModel` handle around any of
         them (the handle is unwrapped; its pruners stay in the graph).
     backend:
-        One of :func:`available_backends` — ``"dense"``, ``"sparse"`` or
-        ``"auto"`` unless extended.
+        One of :func:`available_backends` — ``"auto"``, ``"dense"``,
+        ``"procpool"`` or ``"sparse"`` unless extended.
     config:
         :class:`~repro.core.sparse_exec.PlanConfig` compilation knobs,
         honored by plan-backed engines.
     kwargs:
-        Extra backend-specific options (e.g. ``auto_threshold``, or the
-        ``procpool`` backend's ``proc_workers``).  A backend rejects an
-        option it does not know with ``TypeError``.
+        Extra backend-specific options (e.g. the ``procpool`` backend's
+        ``proc_workers``).  A backend rejects an option it does not know
+        with ``TypeError``.
     """
     try:
         builder = _BACKENDS[backend]

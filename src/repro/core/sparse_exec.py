@@ -8,8 +8,8 @@ engine that realizes those savings on CPU, at batch scale:
 * **Channel kernel** (:func:`_channel_conv`): every channel-only mask,
   fixed top-k and adaptive (threshold-mode) alike, runs one kernel.
   Samples are grouped by their kept-channel count rounded up to a
-  quantum (1 at top-k sites, ``PlanConfig.kept_quantum`` at adaptive
-  ones); per group each sample's kept input channels are gathered and
+  quantum (1 at top-k sites, :data:`KEPT_QUANTUM` at adaptive ones); per
+  group each sample's kept input channels are gathered and
   unfolded in cache-sized sample tiles, its kept weight rows are gathered
   from a channel-major ``(Cin, k*k, Cout)`` copy of the fused weight (one
   contiguous run per channel, rounding-tail rows zeroed), and one batched
@@ -17,8 +17,8 @@ engine that realizes those savings on CPU, at batch scale:
   by construction.
 * **Ragged spatial bucketing** (:func:`_ragged_spatial_conv`): the same
   treatment for kept *positions*, and the kernel every spatial mask runs
-  by default — fixed top-k column sites (the paper's Table I ResNet-56
-  setting) as well as adaptive ones.  Samples are grouped by exact
+  — fixed top-k column sites (the paper's Table I ResNet-56 setting) as
+  well as adaptive ones.  Samples are grouped by exact
   kept-channel count, each group's padded channels-last input and
   per-sample weight stack are gathered once, and samples are bucketed by
   their quantized kept-position count on the conv's output grid; each
@@ -28,17 +28,15 @@ engine that realizes those savings on CPU, at batch scale:
   own weight slice.  Padded slots are discarded on scatter-back, so kept
   positions are bit-identical to per-request execution by construction
   and dropped positions stay exactly zero (the paper's Sec. III-B skip
-  semantics).  The per-sample gather + GEMM loop (``per_position``) is
-  kept only as the oracle: tests reach it through
-  ``strategy="per_position"`` and the ``PlanConfig(ragged_mode="never")``
-  fallback runs it.
+  semantics).  The per-sample gather + GEMM loop it replaced is the
+  tests' oracle (``tests/oracles.py``).
 * **Plan compilation** (:class:`ExecutionPlan`): the layer graph is walked
   once per model at executor construction — Conv→BN(→ReLU) chains are fused
   into a single op (BN folded into the conv weights at eval time, which
   are then also stored channel-major for the channel kernel), output
   shapes are memoized per input geometry, and every convolution dispatches
-  to a dense fast path when the pending mask is below the configured
-  sparsity threshold (gather overhead would exceed the skipped work).
+  to a dense fast path when a top-k mask prunes less than
+  :data:`DENSE_THRESHOLD` (gather overhead would exceed the skipped work).
 * **Zero-copy kernel layer**: every convolution unfolds its input with the
   channels-first :func:`repro.nn.functional.im2col_t` gather (blocked over
   output-row tiles at large feature maps) straight into a plan-owned
@@ -70,7 +68,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -106,7 +104,6 @@ __all__ = [
     "ResNetPlan",
     "SparseSequentialExecutor",
     "SparseResNetExecutor",
-    "dense_reference_forward",
     "output_keep_grid",
     "UnsupportedGraphError",
 ]
@@ -129,6 +126,21 @@ class UnsupportedGraphError(TypeError):
 #: axis — every per-sample GEMM slice keeps the same shape, strides, and
 #: operand values — so results are bit-identical at any tile size.
 RAGGED_TILE_BYTES = 4 * 1024 * 1024
+
+#: Minimum pruned fraction of a top-k mask for a plan to run the sparse
+#: kernels.  Below it the gather overhead outweighs the skipped work, so
+#: the convolution runs dense on the already-masked input (channel results
+#: are identical; dropped output columns are zeroed after the fact to keep
+#: the skip semantics).  Adaptive masks never take this shortcut: their
+#: batch mean depends on who shares the batch.
+DENSE_THRESHOLD = 0.15
+
+#: Rounding quantum for adaptive (threshold-mode) channel sites: per-sample
+#: kept counts are rounded up to the next multiple before grouping, so
+#: near-miss counts share a GEMM at the cost of at most three zero-weight
+#: channels per sample.  Also the floor of the spatial kernel's
+#: kept-position quantum.
+KEPT_QUANTUM = 4
 
 
 def _ensure_contiguous(arr: np.ndarray) -> np.ndarray:
@@ -228,7 +240,7 @@ def _channel_conv(
     (:func:`_channel_major`).  Samples are grouped by their kept-channel
     count rounded up to ``quantum``
     (:func:`~repro.core.masks.group_by_kept_count`): 1 for top-k masks,
-    whose counts are equal, ``kept_quantum`` for adaptive ones.  Per
+    whose counts are equal, :data:`KEPT_QUANTUM` for adaptive ones.  Per
     group, in sample tiles whose unfolded slab fits
     :data:`RAGGED_TILE_BYTES`, each sample's kept input channels are
     gathered and unfolded with :func:`repro.nn.functional.im2col_t`, its
@@ -338,7 +350,7 @@ def _ragged_spatial_conv(
 ) -> np.ndarray:
     """Column skipping: one batched GEMM per kept-position bucket.
 
-    The default kernel for every spatial mask, fixed top-k and adaptive
+    The kernel for every spatial mask, fixed top-k and adaptive
     alike.  Samples are grouped by their exact kept-*channel* count (a
     top-k channel mask keeps the same count in every sample, so a batch
     forms one group however its masks differ).  Per group, the
@@ -371,8 +383,8 @@ def _ragged_spatial_conv(
     reproduces its batched output bit for bit.  (The K ordering is
     ``(ky, kx, c)`` here versus ``im2col_t``'s ``(c, ky, kx)`` — a
     different but fixed summation order, so the kernel agrees with the
-    ``per_position`` oracle to floating-point round-off while remaining
-    exactly reproducible against itself.)
+    per-position oracle in ``tests/oracles.py`` to floating-point
+    round-off while remaining exactly reproducible against itself.)
     """
     n, c, h, w = x.shape
     out_c = weight.shape[0]
@@ -475,44 +487,6 @@ def _ragged_spatial_conv(
     return out
 
 
-def _per_position_conv(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: Optional[np.ndarray],
-    stride: int,
-    padding: int,
-    spatial_mask: np.ndarray,
-    channel_mask: Optional[np.ndarray],
-    oh: int,
-    ow: int,
-) -> np.ndarray:
-    """Column skipping one sample at a time: the spatial kernel's oracle.
-
-    Each sample gathers its own kept channels, the patches of its kept
-    output positions and its kept weight columns, and runs one
-    ``(npos, K) @ (K, Cout)`` GEMM; dropped positions stay zero.
-    """
-    n, c = x.shape[:2]
-    out_c, _, k, _ = weight.shape
-    out = np.zeros((n, out_c, oh, ow), dtype=x.dtype)
-    keep = output_grid_mask(spatial_mask, stride, oh, ow)
-    pad = ((0, 0), (padding, padding), (padding, padding))
-    for i in range(n):
-        kept = np.arange(c) if channel_mask is None else np.flatnonzero(channel_mask[i])
-        ys, xs = np.nonzero(keep[i])
-        if kept.size == 0 or ys.size == 0:
-            continue
-        xg = np.pad(x[i, kept], pad) if padding > 0 else x[i, kept]
-        # (C_kept, OH, OW, k, k) sliding windows — a strided view.
-        windows = sliding_window_view(xg, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-        patches = np.moveaxis(windows[:, ys, xs], 1, 0)  # (P, C_kept, k, k)
-        vals = patches.reshape(ys.size, -1) @ weight[:, kept].reshape(out_c, -1).T
-        if bias is not None:
-            vals = vals + bias
-        out[i][:, ys, xs] = vals.T
-    return out
-
-
 # ----------------------------------------------------------------------
 # Batched sparse convolution
 # ----------------------------------------------------------------------
@@ -527,9 +501,7 @@ def sparse_conv2d(
     *,
     arena: Optional[WorkspaceArena] = None,
     ragged: bool = False,
-    kept_quantum: int = 4,
-    strategy: Optional[str] = None,
-    on_dispatch: Optional[Callable[[str], None]] = None,
+    kept_quantum: int = KEPT_QUANTUM,
 ) -> np.ndarray:
     """Batched convolution that skips pruned input channels and columns.
 
@@ -552,8 +524,7 @@ def sparse_conv2d(
         dense masked convolution the input must already have its dropped
         columns zeroed (receptive fields overlap columns; the executors
         apply the mask before calling).  Every spatial mask runs the
-        kept-position bucketed kernel (:func:`_ragged_spatial_conv`)
-        unless ``strategy="per_position"`` asks for the oracle.
+        kept-position bucketed kernel (:func:`_ragged_spatial_conv`).
     arena:
         Optional :class:`~repro.core.workspace.WorkspaceArena` supplying
         the kernels' scratch buffers.  Without one, scratch is freshly
@@ -567,61 +538,33 @@ def sparse_conv2d(
         otherwise samples group by exact count.  Either way results are
         bit-identical to per-request execution.  Spatial masks are
         bucketed whatever the flag; ``kept_quantum`` is the floor of their
-        kept-*position* quantum.
-    strategy:
-        ``None`` keeps the heuristic dispatch.  ``"per_position"``
-        (requires a ``spatial_mask``) runs the per-sample gather + GEMM
-        oracle instead of kept-position bucketing.  The two agree to
-        floating-point round-off at kept positions (BLAS blocks a
-        width-``Pq`` padded GEMM differently from a width-``npos`` exact
-        one), and each is bit-identical to its own per-request execution.
-    on_dispatch:
-        Optional callback receiving the path label this call executed —
-        ``"channel"``, ``"ragged_spatial"``, ``"per_position"`` or
-        ``"dense"`` (no mask) — once per invocation.  Plans pass their
-        dispatch-counter hook here.
+        kept-position quantum.  The default is the plans' :data:`KEPT_QUANTUM`.
 
     Returns
     -------
     Output batch ``(N, Cout, OH, OW)``.
     """
-    if strategy is not None:
-        if strategy != "per_position":
-            raise ValueError(
-                f"strategy must be None or 'per_position', got {strategy!r}"
-            )
-        if spatial_mask is None:
-            raise ValueError("strategy 'per_position' requires a spatial_mask")
     n, c, h, w = x.shape
     out_c, in_c, k, _ = weight.shape
     if in_c != c:
         raise ValueError(f"weight expects {in_c} input channels, got {c}")
     oh, ow = F.conv_output_shape(h, w, k, stride, padding)
-    if spatial_mask is not None:
-        kind = "per_position" if strategy else "ragged_spatial"
-    else:
-        kind = "dense" if channel_mask is None else "channel"
-    if on_dispatch is not None:
-        on_dispatch(kind)
     if n == 0:
         return np.zeros((n, out_c, oh, ow), dtype=x.dtype)
     cmask = None if channel_mask is None else np.asarray(channel_mask, dtype=bool)
-    if kind == "channel":
+    if spatial_mask is not None:
+        # Kept-position bucketing handles the channel mask internally
+        # (kept-count groups, position buckets within).
+        return _ragged_spatial_conv(
+            x, weight, bias, stride, padding, np.asarray(spatial_mask, dtype=bool), cmask,
+            kept_quantum=kept_quantum, arena=arena, oh=oh, ow=ow,
+        )
+    if cmask is not None:
         return _channel_conv(
             x, _channel_major(weight), bias, k, stride, padding, cmask,
             quantum=kept_quantum if ragged else 1, arena=arena, oh=oh, ow=ow,
         )
-    if kind == "dense":
-        return _dense_conv(x, weight, bias, stride, padding, arena, oh, ow)
-    smask = np.asarray(spatial_mask, dtype=bool)
-    if kind == "per_position":
-        return _per_position_conv(x, weight, bias, stride, padding, smask, cmask, oh, ow)
-    # Kept-position bucketing handles the channel mask internally
-    # (kept-count groups, position buckets within).
-    return _ragged_spatial_conv(
-        x, weight, bias, stride, padding, smask, cmask,
-        kept_quantum=kept_quantum, arena=arena, oh=oh, ow=ow,
-    )
+    return _dense_conv(x, weight, bias, stride, padding, arena, oh, ow)
 
 
 # ----------------------------------------------------------------------
@@ -633,17 +576,6 @@ class PlanConfig:
 
     Attributes
     ----------
-    fuse_conv_bn:
-        Fold eval-mode BatchNorm (and a trailing ReLU) into the preceding
-        convolution at compile time.  With column skipping this also makes
-        dropped output positions *exactly* zero downstream (the paper's
-        skip semantics); unfused, the separate BN shift re-populates them.
-    dense_threshold:
-        Minimum pruned fraction for the sparse gather path to engage.
-        Below it the convolution runs dense (the input is already masked,
-        so channel results are identical; dropped output columns are zeroed
-        after the fact to preserve skip semantics).  ``0.0`` always goes
-        sparse when a mask is present; ``1.0`` always runs dense.
     batch_invariant:
         Guarantee each sample's output is bit-identical no matter how the
         batch is composed.  BLAS picks different blocking (and hence
@@ -655,49 +587,18 @@ class PlanConfig:
         GEMM slices unconditionally (the invariant form is also the
         zero-copy one), so the flag only steers the classifier head; its
         CPU cost is near zero.
-    ragged_mode:
-        How the channel kernel groups samples.  ``"auto"`` (default)
-        rounds kept-channel counts up to ``kept_quantum`` exactly at
-        *adaptive* pruning sites (``mask_mode="threshold"``), whose counts
-        differ per sample, and groups top-k sites by exact count;
-        ``"always"`` rounds at every channel site (the ``adaptive`` engine
-        backend).  Spatial masks — fixed top-k and adaptive alike — run
-        kept-position bucketing under both.  ``"never"`` is the oracle
-        dispatch tests compare against: channel sites group by exact
-        count and every spatial mask runs the per-sample ``per_position``
-        gather loop.
-    kept_quantum:
-        Rounding quantum for adaptive channel sites: per-sample kept
-        counts are rounded up to the next multiple before grouping.
-        Larger quanta mean fewer GEMM shapes and better arena reuse but
-        more zero-padded work per sample; ``4`` pads at most three
-        channels per sample while near-miss counts still share groups.
-        Also the floor of the spatial kernel's kept-position quantum.
     """
 
-    fuse_conv_bn: bool = True
-    dense_threshold: float = 0.15
     batch_invariant: bool = False
-    ragged_mode: str = "auto"
-    kept_quantum: int = 4
-
-    def __post_init__(self) -> None:
-        if self.ragged_mode not in ("auto", "always", "never"):
-            raise ValueError(
-                f"ragged_mode must be 'auto', 'always' or 'never', got {self.ragged_mode!r}"
-            )
-        if self.kept_quantum < 1:
-            raise ValueError("kept_quantum must be >= 1")
 
 
 class _MaskState:
     """Pending masks produced by a pruning site, consumed by the next conv.
 
-    ``ragged`` marks the pending channel mask as adaptive (per-sample
-    kept-counts may differ), which makes the consuming convolution round
-    kept counts up to ``kept_quantum`` and disables the batch-mean
-    dispatch shortcuts (their decisions would depend on batch
-    composition).
+    ``ragged`` marks the pending masks as adaptive (per-sample kept-counts
+    may differ), which makes the consuming convolution round kept counts
+    up to :data:`KEPT_QUANTUM` and disables the batch-mean dense shortcut
+    (its decision would depend on batch composition).
     """
 
     __slots__ = ("channel", "spatial", "ragged")
@@ -832,38 +733,29 @@ class _ConvOp:
 
     def run(self, x: np.ndarray, state: _MaskState, plan: "ExecutionPlan") -> np.ndarray:
         channel_mask, spatial_mask, ragged = state.take()
-        config = plan.config
         zero_out: Optional[np.ndarray] = None
 
         # Observability preamble: only when a tracer is installed or a
-        # profiler is attached does this op pay for a timer pair and an
-        # on_dispatch wrapper that remembers which strategy actually ran.
-        # The masks get mutated below (dense-threshold downgrades), so the
+        # profiler is attached does this op pay for a timer pair.  The
+        # masks get mutated below (dense-threshold downgrades), so the
         # geometry key is computed now.
-        on_dispatch = plan.count_dispatch
         profiler = plan.profiler
         timing = profiler is not None or _obs.enabled
         if timing:
             obs_geo = self.geometry(x, channel_mask, ragged, spatial_mask)
-            obs_kinds: List[str] = []
-
-            def on_dispatch(kind: str, _record=obs_kinds.append, _count=plan.count_dispatch) -> None:
-                _record(kind)
-                _count(kind)
-
             obs_start = time.perf_counter()
 
-        # The batch-mean dispatch shortcuts below are skipped for ragged
-        # masks: their decisions depend on who shares the batch, which
-        # would break the batch-invariance contract for adaptive traffic.
+        # The batch-mean dense shortcut below is skipped for ragged masks:
+        # its decision depends on who shares the batch, which would break
+        # the batch-invariance contract for adaptive traffic.
         if channel_mask is not None and not ragged:
-            if 1.0 - float(channel_mask.mean()) < config.dense_threshold:
+            if 1.0 - float(channel_mask.mean()) < DENSE_THRESHOLD:
                 # Input channels are already zeroed upstream: dense is exact.
                 channel_mask = None
         oh, ow = self.output_shape(x.shape[2], x.shape[3])
         if spatial_mask is not None and not ragged:
             keep2d = output_keep_grid(spatial_mask, self.stride, oh, ow)
-            if 1.0 - float(keep2d.mean()) < config.dense_threshold:
+            if 1.0 - float(keep2d.mean()) < DENSE_THRESHOLD:
                 # Compute dense, then zero dropped positions to preserve the
                 # skip semantics (identical values at kept positions).
                 zero_out = keep2d
@@ -871,42 +763,31 @@ class _ConvOp:
 
         arena = plan.arena
         if spatial_mask is not None:
-            # ``ragged_mode="never"`` is the pre-ragged dispatch: spatial
-            # masks run the per-sample gather loop.
-            never = config.ragged_mode == "never"
-            out = sparse_conv2d(
-                x,
-                self.weight,
-                self.bias,
-                self.stride,
-                self.padding,
-                channel_mask=channel_mask,
-                spatial_mask=spatial_mask,
-                arena=arena,
-                kept_quantum=config.kept_quantum,
-                strategy="per_position" if never else None,
-                on_dispatch=on_dispatch,
+            kind = "ragged_spatial"
+            out = _ragged_spatial_conv(
+                x, self.weight, self.bias, self.stride, self.padding, spatial_mask,
+                channel_mask, kept_quantum=KEPT_QUANTUM, arena=arena, oh=oh, ow=ow,
             )
         elif channel_mask is not None:
-            on_dispatch("channel")
+            kind = "channel"
             out = _channel_conv(
                 x, self.wt, self.bias, self.weight.shape[2], self.stride, self.padding,
-                channel_mask, quantum=config.kept_quantum if ragged else 1,
+                channel_mask, quantum=KEPT_QUANTUM if ragged else 1,
                 arena=arena, oh=oh, ow=ow,
             )
         else:
-            on_dispatch("dense")
+            kind = "dense"
             out = _dense_conv(x, self.weight, self.bias, self.stride, self.padding, arena, oh, ow)
+        plan.count_dispatch(kind)
         if zero_out is not None:
             out *= zero_out[:, None, :, :]
         if self.relu:
             np.maximum(out, 0.0, out=out)
         if timing:
             obs_end = time.perf_counter()
-            strategy = obs_kinds[-1] if obs_kinds else "unknown"
             nbytes = x.nbytes + self.weight.nbytes + out.nbytes
             if profiler is not None:
-                profiler.record(obs_geo, strategy, obs_end - obs_start, nbytes)
+                profiler.record(obs_geo, kind, obs_end - obs_start, nbytes)
             if _obs.enabled:
                 ctx = _obs.current()
                 tracer = _obs.tracer()
@@ -918,7 +799,7 @@ class _ConvOp:
                         obs_end,
                         {
                             "op": self.key,
-                            "strategy": strategy,
+                            "strategy": kind,
                             "kind": obs_geo[7],
                             "kept": obs_geo[8],
                             "hw": f"{obs_geo[5]}x{obs_geo[6]}",
@@ -1008,10 +889,6 @@ class _PruneOp:
     def __init__(self, layer: DynamicPruning):
         self.layer = layer
 
-    def _ragged(self, plan: "ExecutionPlan") -> bool:
-        mode = plan.config.ragged_mode
-        return mode == "always" or (mode == "auto" and self.layer.adaptive)
-
     def run(self, x: np.ndarray, state: _MaskState, plan: "ExecutionPlan") -> np.ndarray:
         layer = self.layer
         if not layer.active:
@@ -1025,10 +902,10 @@ class _PruneOp:
             x = x * spatial_mask[:, None, :, :]
         state.channel = channel_mask
         state.spatial = spatial_mask
-        state.ragged = self._ragged(plan)
+        state.ragged = layer.adaptive
         return x
 
-    def bucket_hint(self, fm: np.ndarray, plan: "ExecutionPlan") -> Optional[object]:
+    def bucket_hint(self, fm: np.ndarray) -> Optional[object]:
         """Quantized kept-count bucket of this site for a probe feature map.
 
         Used by the serving scheduler's kept-count-aware window assembly
@@ -1056,7 +933,7 @@ class _PruneOp:
             channel_bucket = quantize_kept_count(
                 int(round(float(counts.mean()))),
                 channel_mask.shape[1],
-                plan.config.kept_quantum,
+                KEPT_QUANTUM,
             )
         if layer.spatial_ratio <= 0.0 or spatial_mask is None:
             return channel_bucket
@@ -1131,19 +1008,14 @@ class ExecutionPlan:
     the convolution that consumes its masks.
     """
 
-    #: Fine-grained dispatch-counter labels (satellite telemetry); the
-    #: legacy dense/sparse/ragged totals are kept in sync for callers
-    #: that predate per-strategy counting.
-    DISPATCH_KINDS = ("channel", "ragged_spatial", "per_position", "dense")
+    #: Dispatch-counter labels: the kernel each convolution call ran.
+    DISPATCH_KINDS = ("channel", "ragged_spatial", "dense")
 
     def __init__(self, ops: List[object], config: PlanConfig):
         self.ops = ops
         self.config = config
         self.arenas = ArenaPool()
         self._dispatch_lock = threading.Lock()
-        self.dense_dispatches = 0
-        self.sparse_dispatches = 0
-        self.ragged_dispatches = 0
         #: Opt-in per-op profiler (:class:`repro.obs.PlanProfiler`) — when
         #: attached, every conv dispatch records (geometry, strategy, wall
         #: time, bytes moved).  ``None`` keeps the hot path timer-free.
@@ -1162,20 +1034,10 @@ class ExecutionPlan:
     def count_dispatch(self, kind: str) -> None:
         """Thread-safe dispatch telemetry (workers share one plan).
 
-        ``kind`` is one of :attr:`DISPATCH_KINDS`.  The aggregate
-        dense/sparse/ragged counters are updated alongside the
-        per-strategy breakdown so existing consumers keep working:
-        kept-position bucketing counts as a ragged dispatch, the channel
-        kernel and the per-position oracle as sparse ones.
+        ``kind`` is one of :attr:`DISPATCH_KINDS`.
         """
         with self._dispatch_lock:
             self.dispatch_counts[kind] += 1
-            if kind == "dense":
-                self.dense_dispatches += 1
-            elif kind == "ragged_spatial":
-                self.ragged_dispatches += 1
-            else:
-                self.sparse_dispatches += 1
 
     def arena_stats(self) -> Dict[str, int]:
         """Merged workspace counters across every worker thread."""
@@ -1192,7 +1054,6 @@ class ExecutionPlan:
         # two packages' initialization order together.
         from ..baselines.dynamic import FBSGate
 
-        config = config or PlanConfig()
         flat = _flatten(layers)
         ops: List[object] = []
         i = 0
@@ -1203,10 +1064,10 @@ class ExecutionPlan:
                 bn: Optional[BatchNorm2d] = None
                 relu = False
                 j = i + 1
-                if config.fuse_conv_bn and j < len(flat) and isinstance(flat[j], BatchNorm2d):
+                if j < len(flat) and isinstance(flat[j], BatchNorm2d):
                     bn = flat[j]
                     j += 1
-                if config.fuse_conv_bn and j < len(flat) and isinstance(flat[j], ReLU):
+                if j < len(flat) and isinstance(flat[j], ReLU):
                     relu = True
                     j += 1
                 ops.append(_ConvOp.compile(layer, bn, relu, key))
@@ -1239,7 +1100,7 @@ class ExecutionPlan:
                 raise UnsupportedGraphError(
                     f"ExecutionPlan cannot compile {type(layer).__name__}"
                 )
-        return cls(ops, config)
+        return cls(ops, config or PlanConfig())
 
     def run(self, x: np.ndarray) -> np.ndarray:
         state = _MaskState()
@@ -1265,16 +1126,13 @@ class ExecutionPlan:
         state = _MaskState()
         for op in self.ops:
             if isinstance(op, _PruneOp):
-                return op.bucket_hint(x, self)
+                return op.bucket_hint(x)
             x = op.run(x, state, self)
         return None
 
     def reset_stats(self) -> None:
         """Zero the dispatch counters."""
         with self._dispatch_lock:
-            self.dense_dispatches = 0
-            self.sparse_dispatches = 0
-            self.ragged_dispatches = 0
             self.dispatch_counts = dict.fromkeys(self.DISPATCH_KINDS, 0)
 
     def describe(self) -> str:
@@ -1324,32 +1182,21 @@ class SparseSequentialExecutor:
 
 
 class _BlockPlan:
-    """Compiled ops for one :class:`BasicBlock` (fused at eval time).
+    """Compiled ops for one :class:`BasicBlock` (BatchNorms fused at eval time)."""
 
-    The ``bn*`` slots are populated only when ``fuse_conv_bn`` is off, in
-    which case each convolution runs bare and its BatchNorm applies as a
-    separate op (the seed executor's semantics).
-    """
-
-    __slots__ = ("conv1", "bn1", "prune", "conv2", "bn2", "shortcut", "shortcut_bn")
+    __slots__ = ("conv1", "prune", "conv2", "shortcut")
 
     def __init__(
         self,
         conv1: _ConvOp,
-        bn1: Optional[_BNOp],
         prune: Optional[object],  # _PruneOp or _GateOp
         conv2: _ConvOp,
-        bn2: Optional[_BNOp],
         shortcut: Optional[_ConvOp],
-        shortcut_bn: Optional[_BNOp],
     ):
         self.conv1 = conv1
-        self.bn1 = bn1
         self.prune = prune
         self.conv2 = conv2
-        self.bn2 = bn2
         self.shortcut = shortcut
-        self.shortcut_bn = shortcut_bn
 
 
 class ResNetPlan(ExecutionPlan):
@@ -1361,25 +1208,22 @@ class ResNetPlan(ExecutionPlan):
     """
 
     def __init__(self, model: ResNet, config: Optional[PlanConfig] = None):
-        config = config or PlanConfig()
-        super().__init__([], config)
-        fuse = config.fuse_conv_bn
+        super().__init__([], config or PlanConfig())
         key = 0
-        self.stem = _ConvOp.compile(model.conv1, model.bn1 if fuse else None, fuse, key)
-        self.stem_bn = None if fuse else _BNOp(model.bn1)
+        self.stem = _ConvOp.compile(model.conv1, model.bn1, True, key)
         key += 1
         self.blocks: List[_BlockPlan] = []
         for group in (model.group1, model.group2, model.group3):
             for block in group:
-                self.blocks.append(self._compile_block(block, fuse, key))
+                self.blocks.append(self._compile_block(block, key))
                 key += 3
         self.fc = _LinearOp(model.fc)
 
-    def _compile_block(self, block: BasicBlock, fuse: bool, key: int) -> _BlockPlan:
+    def _compile_block(self, block: BasicBlock, key: int) -> _BlockPlan:
         from ..baselines.dynamic import FBSGate
 
-        conv1 = _ConvOp.compile(block.conv1, block.bn1 if fuse else None, fuse, key)
-        conv2 = _ConvOp.compile(block.conv2, block.bn2 if fuse else None, False, key + 1)
+        conv1 = _ConvOp.compile(block.conv1, block.bn1, True, key)
+        conv2 = _ConvOp.compile(block.conv2, block.bn2, False, key + 1)
         prune: Optional[object] = None
         site = block.relu1
         if isinstance(site, Sequential):
@@ -1389,46 +1233,24 @@ class ResNetPlan(ExecutionPlan):
                 elif isinstance(sub, FBSGate):
                     prune = _GateOp(sub)
         shortcut: Optional[_ConvOp] = None
-        shortcut_bn: Optional[_BNOp] = None
         if not isinstance(block.shortcut, Identity):
             projection, norm = list(block.shortcut)
-            shortcut = _ConvOp.compile(projection, norm if fuse else None, False, key + 2)
-            if not fuse:
-                shortcut_bn = _BNOp(norm)
-        return _BlockPlan(
-            conv1,
-            None if fuse else _BNOp(block.bn1),
-            prune,
-            conv2,
-            None if fuse else _BNOp(block.bn2),
-            shortcut,
-            shortcut_bn,
-        )
+            shortcut = _ConvOp.compile(projection, norm, False, key + 2)
+        return _BlockPlan(conv1, prune, conv2, shortcut)
 
     # ------------------------------------------------------------------
     def _run_block(self, plan: _BlockPlan, x: np.ndarray) -> np.ndarray:
         state = _MaskState()
         out = plan.conv1.run(x, state, self)
-        if plan.bn1 is not None:
-            out = np.maximum(plan.bn1.run(out, state, self), 0.0)
         if plan.prune is not None:
             out = plan.prune.run(out, state, self)
         out = plan.conv2.run(out, state, self)
-        if plan.bn2 is not None:
-            out = plan.bn2.run(out, state, self)
-        if plan.shortcut is None:
-            shortcut = x
-        else:
-            shortcut = plan.shortcut.run(x, _MaskState(), self)
-            if plan.shortcut_bn is not None:
-                shortcut = plan.shortcut_bn.run(shortcut, state, self)
+        shortcut = x if plan.shortcut is None else plan.shortcut.run(x, _MaskState(), self)
         return np.maximum(out + shortcut, 0.0)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         state = _MaskState()
         out = self.stem.run(x, state, self)
-        if self.stem_bn is not None:
-            out = np.maximum(self.stem_bn.run(out, state, self), 0.0)
         for block_plan in self.blocks:
             out = self._run_block(block_plan, out)
         out = out.mean(axis=(2, 3))
@@ -1436,17 +1258,11 @@ class ResNetPlan(ExecutionPlan):
 
     def kept_count_bucket(self, x: np.ndarray) -> Optional[int]:
         """Probe the first pruned block's site (see :class:`ExecutionPlan`)."""
-        state = _MaskState()
-        out = self.stem.run(x, state, self)
-        if self.stem_bn is not None:
-            out = np.maximum(self.stem_bn.run(out, state, self), 0.0)
+        out = self.stem.run(x, _MaskState(), self)
         for block_plan in self.blocks:
             if isinstance(block_plan.prune, _PruneOp):
-                probe_state = _MaskState()
-                fm = block_plan.conv1.run(out, probe_state, self)
-                if block_plan.bn1 is not None:
-                    fm = np.maximum(block_plan.bn1.run(fm, probe_state, self), 0.0)
-                return block_plan.prune.bucket_hint(fm, self)
+                fm = block_plan.conv1.run(out, _MaskState(), self)
+                return block_plan.prune.bucket_hint(fm)
             out = self._run_block(block_plan, out)
         return None
 
@@ -1471,12 +1287,3 @@ class SparseResNetExecutor:
         return self.plan.run(x)
 
     __call__ = forward
-
-
-def dense_reference_forward(layers: Sequential, x: np.ndarray) -> np.ndarray:
-    """Dense (masked but unskipped) forward for equivalence checks."""
-    from ..nn import Tensor, no_grad
-
-    with no_grad():
-        out = layers(Tensor(x.astype(np.float32)))
-    return out.data

@@ -3,8 +3,8 @@
 Worker *threads* (:attr:`~repro.serve.SessionConfig.workers`) share the
 GIL and BLAS contention, so numpy serving never scales across cores.
 :class:`ProcPoolEngine` is the process-based answer: ``N`` worker
-*processes*, each of which builds its own engine — compiling the
-:class:`~repro.core.sparse_exec.ExecutionPlan` exactly once at startup,
+*processes*, each of which builds its own ``sparse`` engine — compiling
+the :class:`~repro.core.sparse_exec.ExecutionPlan` exactly once at startup,
 from the same model (or registry artifact ref) and the same
 :class:`~repro.core.sparse_exec.PlanConfig` with ``batch_invariant=True``
 forced — so every process is a bit-identical replica and which process
@@ -117,7 +117,7 @@ def _build_worker_engine(spec: Dict[str, Any]) -> EngineProtocol:
         model = artifact.handle if artifact.handle is not None else artifact.model
     else:
         model = spec["model"]
-    engine = create_engine(model, backend=spec["backend"], config=config)
+    engine = create_engine(model, backend="sparse", config=config)
     if spec.get("profile"):
         # Opt-in per-op profiling: the worker's plan records per-geometry
         # wall time + bytes moved, reported home via the ("stats",) round
@@ -306,10 +306,7 @@ class ProcPoolEngine(EngineProtocol):
         must not depend on batch composition *or* on which process ran
         them.
     proc_workers:
-        Worker process count.
-    inner_backend:
-        Backend each worker builds (``sparse`` by default; ``adaptive``
-        forces kept-count-bucketed execution pool-wide).
+        Worker process count.  Each worker builds a ``sparse`` engine.
     registry, ref:
         Artifact-ref startup: registry root and ``name``/``name@vN``.
     slots_per_worker, slot_mb:
@@ -339,7 +336,6 @@ class ProcPoolEngine(EngineProtocol):
         model: object = None,
         config: Optional[PlanConfig] = None,
         proc_workers: int = 2,
-        inner_backend: str = "sparse",
         registry: Optional[str] = None,
         ref: Optional[str] = None,
         slots_per_worker: int = 2,
@@ -356,7 +352,6 @@ class ProcPoolEngine(EngineProtocol):
             raise ValueError("registry given without an artifact ref")
         config = dataclasses.replace(config or PlanConfig(), batch_invariant=True)
         self._spec: Dict[str, Any] = {
-            "backend": inner_backend,
             "config": config,
             "registry": registry,
             "ref": ref,
@@ -691,7 +686,7 @@ class ProcPoolEngine(EngineProtocol):
         ring = self._ring
         return (
             f"ProcPoolEngine({self.proc_workers} processes x "
-            f"{self._spec['backend']}, {ring.slots} shm slots x "
+            f"sparse, {ring.slots} shm slots x "
             f"{ring.slot_bytes >> 20}MiB)"
         )
 

@@ -106,6 +106,15 @@ class TestCLI:
                 build_parser().parse_args([command])
             assert excinfo.value.code == 2
 
+    def test_retired_backend_rejected(self, capsys):
+        # --backend choices are the registered engine backends.
+        for command in ("serve", "trace"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args([command, "--backend", "adaptive"])
+            assert excinfo.value.code == 2
+            assert "'procpool', 'sparse'" in capsys.readouterr().err
+        assert build_parser().parse_args(["serve", "--backend", "sparse"]).backend == "sparse"
+
     def test_unknown_setting_errors(self, capsys):
         assert main(["table1", "--setting", "nope", "--fast"]) == 2
         assert "unknown setting" in capsys.readouterr().out

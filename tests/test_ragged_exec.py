@@ -9,8 +9,8 @@ Contract under test (see ``repro/core/sparse_exec.py`` and ISSUE 4):
   quantum, and bucket-boundary kept-count;
 * threshold-mode plans run the channel kernel with rounded kept counts,
   on conv stacks and ResNets alike;
-* the ``adaptive`` engine backend and FBS :class:`GatedModel` compilation
-  open the dynamic-inference workload on the batched engine;
+* the ``sparse`` backend's bucket probe and FBS :class:`GatedModel`
+  compilation open the dynamic-inference workload on the batched engine;
 * the serving scheduler's kept-count bucketing groups windows without
   changing any response.
 """
@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.dynamic import instrument_with_gates
-from repro.core.engine import create_engine, model_is_adaptive
+from repro.core import sparse_exec
+from repro.core.engine import create_engine
 from repro.core.masks import (
     MaskSpec,
     group_by_kept_count,
@@ -32,13 +33,14 @@ from repro.core.sparse_exec import (
     PlanConfig,
     SparseResNetExecutor,
     SparseSequentialExecutor,
-    dense_reference_forward,
     sparse_conv2d,
 )
 from repro.models import build_conv_stack
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 from repro.obs import PlanProfiler
+
+from .oracles import per_position_conv
 
 TIGHT = dict(rtol=1e-4, atol=1e-5)
 
@@ -54,7 +56,7 @@ def channel_kinds(executor, x):
     """``executor(x)`` and the geometry kinds of its channel-kernel calls.
 
     The kind is ``"ragged"`` exactly when the call rounded kept counts up
-    to ``kept_quantum``.
+    to ``KEPT_QUANTUM``.
     """
     executor.plan.profiler = PlanProfiler()
     out = executor(x)
@@ -270,73 +272,47 @@ class TestRaggedBitIdentity:
 class TestThresholdModePlans:
     def test_ragged_dispatch_engages_for_threshold_sites(self, rng):
         stack = threshold_stack()
-        executor = SparseSequentialExecutor(
-            stack, PlanConfig(batch_invariant=True, dense_threshold=0.0)
-        )
+        executor = SparseSequentialExecutor(stack, PlanConfig(batch_invariant=True))
         x = rng.normal(size=(6, 3, 12, 12)).astype(np.float32)
         out, kinds = channel_kinds(executor, x)
         assert kinds == {"ragged"}
-        ref = dense_reference_forward(stack, x)
+        ref = create_engine(stack, backend="dense")(x)
         np.testing.assert_allclose(out, ref, rtol=1e-3, atol=1e-5)
 
     def test_plan_outputs_bit_identical_per_request(self, rng):
         stack = threshold_stack()
-        executor = SparseSequentialExecutor(
-            stack, PlanConfig(batch_invariant=True, dense_threshold=0.0)
-        )
+        executor = SparseSequentialExecutor(stack, PlanConfig(batch_invariant=True))
         x = rng.normal(size=(5, 3, 12, 12)).astype(np.float32)
         batched = executor(x)
         for i in range(5):
             np.testing.assert_array_equal(executor(x[i : i + 1]), batched[i : i + 1])
 
-    def test_ragged_mode_never_restores_fallback(self, rng):
-        stack = threshold_stack()
-        executor = SparseSequentialExecutor(
-            stack, PlanConfig(ragged_mode="never", dense_threshold=0.0)
-        )
-        x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
-        out, kinds = channel_kinds(executor, x)
-        assert kinds and "ragged" not in kinds
-        np.testing.assert_allclose(
-            out, dense_reference_forward(stack, x), rtol=1e-3, atol=1e-5
-        )
-
-    def test_ragged_mode_always_buckets_topk(self, rng):
-        # Fixed top-k masks through the bucketed path: the adaptive
-        # backend's uniform dispatch must stay exact.
-        stack = build_conv_stack(0.5, width=12, depth=3, seed=1)
-        executor = SparseSequentialExecutor(
-            stack, PlanConfig(ragged_mode="always", dense_threshold=0.0)
-        )
-        x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
-        out, kinds = channel_kinds(executor, x)
-        assert kinds == {"ragged"}
-        np.testing.assert_allclose(
-            out, dense_reference_forward(stack, x), rtol=1e-3, atol=1e-5
-        )
-
-    def test_threshold_spatial_masks_still_exact(self, rng):
-        # Ragged + spatial: adaptive spatial masks now route through the
-        # bucketed ragged-spatial executor.  Its NHWC gather uses a
-        # different K summation order than the per-position fallback, so
-        # the two strategies agree to round-off (like every cross-strategy
-        # pair); within the ragged path, per-request execution stays
-        # bit-identical.  (The dense reference is not the oracle here —
-        # column skipping intentionally leaves dropped positions zero,
-        # Sec. III-B.)
+    def test_threshold_spatial_masks_still_exact(self, rng, monkeypatch):
+        # Ragged + spatial: adaptive spatial masks route through the
+        # bucketed ragged-spatial kernel.  Its NHWC gather uses a
+        # different K summation order than the per-position oracle, so
+        # the two agree to round-off (like every cross-kernel pair);
+        # within the kernel, per-request execution stays bit-identical.
+        # (The dense reference is not the oracle here — column skipping
+        # intentionally leaves dropped positions zero, Sec. III-B.)
         stack = threshold_stack(spatial=True)
-        executor = SparseSequentialExecutor(
-            stack, PlanConfig(batch_invariant=True, dense_threshold=0.0)
-        )
-        fallback = SparseSequentialExecutor(
-            stack,
-            PlanConfig(batch_invariant=True, dense_threshold=0.0, ragged_mode="never"),
-        )
+        executor = SparseSequentialExecutor(stack, PlanConfig(batch_invariant=True))
         x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
         out = executor(x)
-        assert executor.plan.dispatch_counts.get("ragged_spatial", 0) > 0
-        ref = fallback(x)
-        assert fallback.plan.dispatch_counts.get("per_position", 0) > 0
+        assert executor.plan.dispatch_counts["ragged_spatial"] > 0
+        oracle_calls = []
+
+        def oracle(x, weight, bias, stride, padding, spatial_mask, channel_mask, *,
+                   kept_quantum, arena, oh, ow):
+            oracle_calls.append(x.shape[0])
+            return per_position_conv(
+                x, weight, bias, stride, padding, spatial_mask, channel_mask, oh, ow
+            )
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sparse_exec, "_ragged_spatial_conv", oracle)
+            ref = executor(x)
+        assert oracle_calls
         np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-5)
         batched = executor(x)
         for i in range(4):
@@ -357,9 +333,7 @@ class TestThresholdModePlans:
             if isinstance(m, BatchNorm2d):
                 m.running_mean += gen.normal(size=m.num_features).astype(np.float32) * 0.1
                 m.running_var += np.abs(gen.normal(size=m.num_features)).astype(np.float32) * 0.1
-        executor = SparseResNetExecutor(
-            model, PlanConfig(batch_invariant=True, dense_threshold=0.0)
-        )
+        executor = SparseResNetExecutor(model, PlanConfig(batch_invariant=True))
         x = rng.normal(size=(4, 3, 16, 16)).astype(np.float32)
         out, kinds = channel_kinds(executor, x)
         assert kinds == {"ragged"}
@@ -371,29 +345,14 @@ class TestThresholdModePlans:
 
 
 # ----------------------------------------------------------------------
-# Engine backends: adaptive + gated models
+# Engine backends: adaptive (threshold-mode) and gated models
 # ----------------------------------------------------------------------
 class TestAdaptiveBackend:
-    def test_adaptive_backend_registered_and_ragged(self, rng):
-        from repro.core.engine import available_backends
-
-        assert "adaptive" in available_backends()
-        stack = threshold_stack()
-        engine = create_engine(stack, backend="adaptive")
-        x = rng.normal(size=(4, 3, 12, 12)).astype(np.float32)
-        engine(x)
-        stats = engine.stats()
-        assert stats["backend"] == "adaptive"
-        assert engine.plan.config.ragged_mode == "always"
-        assert stats["dispatch"]["channel"] > 0
-
-    def test_model_is_adaptive_detection(self):
-        assert model_is_adaptive(threshold_stack())
-        assert not model_is_adaptive(build_conv_stack(0.5, width=8, depth=3))
+    """The ``sparse`` backend's kept-count scheduling probe."""
 
     def test_request_bucket_probe(self, rng):
         stack = threshold_stack()
-        engine = create_engine(stack, backend="adaptive")
+        engine = create_engine(stack, backend="sparse")
         x = rng.normal(size=(1, 3, 12, 12)).astype(np.float32)
         bucket = engine.request_bucket(x)
         assert isinstance(bucket, int) and 1 <= bucket <= 16
@@ -419,7 +378,7 @@ class TestGatedModelCompilation:
         engine = create_engine(gated, backend="sparse")
         out = engine(x)
         np.testing.assert_allclose(out, dense, rtol=1e-3, atol=1e-4)
-        assert engine.stats()["sparse_dispatches"] > 0
+        assert engine.stats()["dispatch"]["channel"] > 0
 
     def test_gated_resnet_matches_dense(self, rng):
         from repro.models import ResNet
@@ -456,8 +415,7 @@ class TestAdaptiveServing:
 
         stack = threshold_stack()
         engine = create_engine(
-            stack, backend="adaptive",
-            config=PlanConfig(batch_invariant=True, dense_threshold=0.0),
+            stack, backend="sparse", config=PlanConfig(batch_invariant=True)
         )
         requests = [
             rng.normal(size=(1, 3, 12, 12)).astype(np.float32) for _ in range(12)

@@ -111,10 +111,10 @@ class TestEngineFactory:
         engine = create_engine(build_conv_stack(0.5), "sparse")
         engine(make_requests(1)[0])
         stats = engine.stats()
-        assert stats["sparse_dispatches"] > 0
+        assert stats["dispatch"]["channel"] > 0
         engine.reset_stats()
         fresh = engine.stats()
-        assert fresh["sparse_dispatches"] == 0
+        assert sum(fresh["dispatch"].values()) == 0
         assert fresh["cache"]["hits"] == 0
 
     def test_vgg_layer_stack_view(self):
@@ -442,8 +442,13 @@ class TestLegacyDispatch:
         path = os.path.join(registry.resolve("cached")[1], "artifact.json")
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-        # Older versions saved the weight-slice cache's capacity here.
-        manifest["plan"]["cache_entries"] = 256
+        # Older versions saved the weight-slice cache's capacity here, and
+        # every artifact saved before the plan kept only batch_invariant
+        # recorded these four retired fields at their defaults.
+        manifest["plan"].update(
+            cache_entries=256, fuse_conv_bn=True, dense_threshold=0.15,
+            ragged_mode="auto", kept_quantum=4,
+        )
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh)
 
@@ -461,16 +466,22 @@ class TestLegacyDispatch:
         assert [row["name"] for row in registry.list_artifacts()] == ["cached", "plain"]
         assert main(["registry", "ls", "--registry", str(tmp_path)]) == 0
         assert "cached" in capsys.readouterr().out
-        with pytest.raises(TypeError):
-            PlanConfig(cache_entries=1)
+        for retired in (
+            {"cache_entries": 1}, {"ragged_mode": "auto"}, {"fuse_conv_bn": True},
+            {"dense_threshold": 0.15}, {"kept_quantum": 4},
+        ):
+            with pytest.raises(TypeError):
+                PlanConfig(**retired)
 
     def test_removed_tuner_options_raise(self, monkeypatch):
         from repro.serve import ProcPoolEngine
 
         stack = build_conv_stack(0.5, width=8, depth=2, seed=0)
-        for backend in ("sparse", "auto", "adaptive", "dense"):
+        for backend in ("sparse", "auto", "dense"):
             with pytest.raises(TypeError):
                 create_engine(stack, backend=backend, tuned=True)
+        with pytest.raises(ValueError):
+            create_engine(stack, backend="adaptive")
 
         def no_spawn(self, index, gen):
             raise AssertionError("a worker process was spawned")
@@ -478,6 +489,8 @@ class TestLegacyDispatch:
         monkeypatch.setattr(ProcPoolEngine, "_spawn", no_spawn)
         with pytest.raises(TypeError):
             ProcPoolEngine(stack, proc_workers=1, dispatch_table=None)
+        with pytest.raises(TypeError):
+            ProcPoolEngine(stack, proc_workers=1, inner_backend="sparse")
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ Contract under test (see ``repro/core/sparse_exec.py``):
 import numpy as np
 import pytest
 
+from repro.core import sparse_exec
 from repro.core.engine import create_engine
 from repro.core.pruning import DynamicPruning, PruningConfig, instrument_model
 from repro.core.sparse_exec import (
@@ -21,7 +22,6 @@ from repro.core.sparse_exec import (
     PlanConfig,
     SparseResNetExecutor,
     SparseSequentialExecutor,
-    dense_reference_forward,
     sparse_conv2d,
 )
 from repro.models import build_conv_stack
@@ -152,43 +152,47 @@ def pruned_stack(channel_ratio=0.6, spatial_ratio=0.0, width=12, seed=0, granula
 
 
 class TestExecutionPlan:
-    def test_fused_and_unfused_match_dense(self, rng):
+    def test_fused_plan_matches_dense(self, rng):
         stack = pruned_stack()
         x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
-        dense = dense_reference_forward(stack, x)
-        fused = SparseSequentialExecutor(stack, PlanConfig(fuse_conv_bn=True))(x)
-        unfused = SparseSequentialExecutor(stack, PlanConfig(fuse_conv_bn=False))(x)
-        np.testing.assert_allclose(fused, dense, rtol=1e-3, atol=1e-5)
-        np.testing.assert_allclose(unfused, dense, rtol=1e-3, atol=1e-5)
+        dense = create_engine(stack, backend="dense")(x)
+        np.testing.assert_allclose(
+            SparseSequentialExecutor(stack)(x), dense, rtol=1e-3, atol=1e-5
+        )
 
     def test_fusion_compacts_op_count(self):
         stack = pruned_stack()
-        fused = ExecutionPlan.compile(list(stack), PlanConfig(fuse_conv_bn=True))
-        unfused = ExecutionPlan.compile(list(stack), PlanConfig(fuse_conv_bn=False))
-        assert len(fused.ops) < len(unfused.ops)
-        assert "ConvOp" in fused.describe()
+        plan = ExecutionPlan.compile(list(stack))
+        ops = [type(op).__name__ for op in plan.ops]
+        # Every Conv->BN->ReLU chain is one op: no BatchNorm or ReLU op left.
+        assert ops.count("_ConvOp") == sum(isinstance(m, Conv2d) for m in stack)
+        assert "_BNOp" not in ops and "_ReLUOp" not in ops
+        assert "ConvOp" in plan.describe()
 
-    def test_dense_fast_path_matches_sparse_path(self, rng):
+    def test_dense_fast_path_matches_sparse_path(self, rng, monkeypatch):
         stack = pruned_stack(channel_ratio=0.4, spatial_ratio=0.4)
         x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
-        always_sparse = SparseSequentialExecutor(stack, PlanConfig(dense_threshold=0.0))
-        always_dense = SparseSequentialExecutor(stack, PlanConfig(dense_threshold=1.0))
+        monkeypatch.setattr(sparse_exec, "DENSE_THRESHOLD", 0.0)
+        always_sparse = SparseSequentialExecutor(stack)
         out_sparse = always_sparse(x)
+        monkeypatch.setattr(sparse_exec, "DENSE_THRESHOLD", 1.0)
+        always_dense = SparseSequentialExecutor(stack)
         out_dense = always_dense(x)
         np.testing.assert_allclose(out_sparse, out_dense, rtol=1e-3, atol=1e-5)
         # Top-k column sites run the kept-position bucketed kernel.
         assert always_sparse.plan.dispatch_counts["ragged_spatial"] > 0
-        assert always_dense.plan.sparse_dispatches == 0
-        assert always_dense.plan.dense_dispatches > 0
+        dense_counts = always_dense.plan.dispatch_counts
+        assert dense_counts["channel"] == dense_counts["ragged_spatial"] == 0
+        assert dense_counts["dense"] > 0
 
     def test_batch_granularity_collapses_to_one_group(self, rng):
         stack = pruned_stack(granularity="batch")
-        executor = SparseSequentialExecutor(stack, PlanConfig(dense_threshold=0.0))
+        executor = SparseSequentialExecutor(stack)
         x = rng.normal(size=(6, 3, 10, 10)).astype(np.float32)
         executor(x)
         # Two masked convs, each one channel-kernel call over one group.
         assert executor.plan.dispatch_counts["channel"] == 2
-        dense = dense_reference_forward(stack, x)
+        dense = create_engine(stack, backend="dense")(x)
         np.testing.assert_allclose(executor(x), dense, rtol=1e-3, atol=1e-5)
 
     def test_plan_rejects_unknown_layer(self):
@@ -217,11 +221,10 @@ class TestResNetPlanEquivalence:
                 m.running_var += np.abs(gen.normal(size=m.num_features)).astype(np.float32) * 0.1
         return model
 
-    @pytest.mark.parametrize("fuse", [True, False])
-    def test_channel_pruning_matches_dense(self, rng, fuse):
+    def test_channel_pruning_matches_dense(self, rng):
         model = self._model(channel_ratio=0.6)
         x = rng.normal(size=(3, 3, 16, 16)).astype(np.float32)
-        executor = SparseResNetExecutor(model, PlanConfig(fuse_conv_bn=fuse))
+        executor = SparseResNetExecutor(model)
         with no_grad():
             dense = model(Tensor(x)).data
         np.testing.assert_allclose(executor(x), dense, rtol=2e-3, atol=2e-4)
@@ -233,7 +236,7 @@ class TestResNetPlanEquivalence:
 class TestWorkspaceReuse:
     def test_arena_reuses_buffers_across_plan_calls(self, rng):
         stack = pruned_stack()
-        executor = SparseSequentialExecutor(stack, PlanConfig(dense_threshold=0.0))
+        executor = SparseSequentialExecutor(stack)
         x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
         executor(x)
         warm = executor.plan.arena_stats()
@@ -318,9 +321,7 @@ class TestPerSampleBitIdentity:
 
     def test_plan_outputs_ignore_batch_composition(self, rng):
         stack = pruned_stack(granularity="input")
-        executor = SparseSequentialExecutor(
-            stack, PlanConfig(batch_invariant=True, dense_threshold=0.0)
-        )
+        executor = SparseSequentialExecutor(stack, PlanConfig(batch_invariant=True))
         x = rng.normal(size=(5, 3, 10, 10)).astype(np.float32)
         batched = executor(x)
         for i in range(5):
@@ -330,21 +331,18 @@ class TestPerSampleBitIdentity:
 # ----------------------------------------------------------------------
 # Per-strategy dispatch counters
 # ----------------------------------------------------------------------
-def test_dispatch_counters_fine_grained_and_legacy_agree(rng):
+def test_dispatch_counters_count_every_conv_call(rng):
     stack = build_conv_stack(0.5, width=16, depth=3, seed=0)
     engine = create_engine(
-        stack,
-        backend="sparse",
-        config=PlanConfig(batch_invariant=True, dense_threshold=0.0),
+        stack, backend="sparse", config=PlanConfig(batch_invariant=True)
     )
     engine(rng.normal(size=(4, 3, 16, 16)).astype(np.float32))
-    stats = engine.stats()
-    counts = stats["dispatch"]
-    assert set(counts) == {"channel", "ragged_spatial", "per_position", "dense"}
-    assert counts["channel"] + counts["per_position"] == stats["sparse_dispatches"]
-    assert counts["ragged_spatial"] == stats["ragged_dispatches"]
-    assert counts["dense"] == stats["dense_dispatches"]
-    assert counts["channel"] > 0
+    counts = engine.stats()["dispatch"]
+    assert set(counts) == {"channel", "ragged_spatial", "dense"}
+    # One label per conv call: the unmasked first conv runs dense, each
+    # conv after a top-k channel site runs the channel kernel.
+    assert sum(counts.values()) == sum(isinstance(m, Conv2d) for m in stack.modules())
+    assert counts["channel"] > 0 and counts["dense"] > 0
 
 
 def test_dispatch_counters_reset(rng):

@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import create_engine
 from repro.core.pruning import DynamicPruning, PruningConfig, instrument_model
-from repro.core.sparse_exec import (
-    SparseSequentialExecutor,
-    dense_reference_forward,
-    sparse_conv2d,
-)
+from repro.core.sparse_exec import SparseSequentialExecutor, sparse_conv2d
 from repro.nn import (
     BatchNorm2d,
     Conv2d,
@@ -140,7 +137,7 @@ class TestSparseSequentialExecutor:
         stack = build_stack(with_pruning=False)
         x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
         sparse = SparseSequentialExecutor(stack)(x)
-        dense = dense_reference_forward(stack, x)
+        dense = create_engine(stack, backend="dense")(x)
         np.testing.assert_allclose(sparse, dense, rtol=1e-4, atol=1e-5)
 
     def test_matches_dense_with_channel_pruning(self, rng):
@@ -148,7 +145,7 @@ class TestSparseSequentialExecutor:
         stack = build_stack(channel_ratio=0.5, spatial_ratio=0.0)
         x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
         sparse = SparseSequentialExecutor(stack)(x)
-        dense = dense_reference_forward(stack, x)
+        dense = create_engine(stack, backend="dense")(x)
         np.testing.assert_allclose(sparse, dense, rtol=1e-4, atol=1e-5)
 
     def test_spatial_pruning_agrees_on_logit_ranking(self, rng):
@@ -158,7 +155,7 @@ class TestSparseSequentialExecutor:
         stack = build_stack(channel_ratio=0.0, spatial_ratio=0.4)
         x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
         sparse = SparseSequentialExecutor(stack)(x)
-        dense = dense_reference_forward(stack, x)
+        dense = create_engine(stack, backend="dense")(x)
         assert sparse.shape == dense.shape
 
     def test_flattens_nested_sequential(self):
@@ -183,7 +180,7 @@ class TestSparseSequentialExecutor:
         executor = SparseSequentialExecutor(model.features)
         x = rng.normal(size=(2, 3, 32, 32)).astype(np.float32)
         sparse = executor(x)
-        dense = dense_reference_forward(model.features, x)
+        dense = create_engine(model.features, backend="dense")(x)
         np.testing.assert_allclose(sparse, dense, rtol=2e-3, atol=2e-4)
 
 

@@ -10,12 +10,9 @@ import time
 
 import numpy as np
 
+from repro.core.engine import create_engine
 from repro.core.pruning import PruningConfig, instrument_model
-from repro.core.sparse_exec import (
-    SparseResNetExecutor,
-    SparseSequentialExecutor,
-    dense_reference_forward,
-)
+from repro.core.sparse_exec import SparseResNetExecutor, SparseSequentialExecutor
 from repro.models import ResNet, build_conv_stack
 from repro.nn import Tensor, no_grad
 
@@ -60,7 +57,8 @@ def test_conv_stack_speedup_at_high_sparsity(rng):
     executor(x)
 
     t_sparse = best_of(lambda: executor(x))
-    t_dense = best_of(lambda: dense_reference_forward(stack, x))
+    dense = create_engine(stack, backend="dense")
+    t_dense = best_of(lambda: dense(x))
     assert t_sparse <= t_dense, (
         f"sparse {t_sparse * 1e3:.1f}ms vs dense {t_dense * 1e3:.1f}ms at 75% sparsity"
     )

@@ -12,6 +12,8 @@ from repro.core.sparse_exec import sparse_conv2d
 from repro.nn import Tensor
 from repro.nn import functional as F
 
+from .oracles import per_position_conv
+
 small_floats = st.floats(-3, 3, allow_nan=False, allow_infinity=False, width=32)
 
 
@@ -144,9 +146,9 @@ def test_spatial_default_dispatch_contract(case):
     x, weight, bias, stride, padding, cmask, smask, perm = case
     xin = x * smask[:, None]  # executors zero dropped columns first
 
-    def run(rows, **kw):
+    def run(rows):
         cm = None if cmask is None else cmask[rows]
-        return sparse_conv2d(xin[rows], weight, bias, stride, padding, cm, smask[rows], **kw)
+        return sparse_conv2d(xin[rows], weight, bias, stride, padding, cm, smask[rows])
 
     every = np.arange(x.shape[0])
     out = run(every)
@@ -154,7 +156,9 @@ def test_spatial_default_dispatch_contract(case):
     np.testing.assert_array_equal(out, solo)
     np.testing.assert_array_equal(run(perm), out[perm])
 
-    oracle = run(every, strategy="per_position")
+    oracle = per_position_conv(
+        xin, weight, bias, stride, padding, smask, cmask, out.shape[2], out.shape[3]
+    )
     np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-5)
     reference = _masked_reference(x, weight, bias, stride, padding, cmask, smask)
     np.testing.assert_allclose(out, reference, rtol=1e-4, atol=1e-4)

@@ -3,10 +3,10 @@
 Contract under test (see ``_ragged_spatial_conv`` in
 ``repro/core/sparse_exec.py``):
 
-* combined channel x spatial ``sparse_conv2d`` (kept-position bucketing,
-  the default) agrees with the per-sample gather baseline
-  (``strategy="per_position"``) to floating-point round-off at kept
-  positions, is **exactly zero** at dropped positions, and is
+* combined channel x spatial ``sparse_conv2d`` (kept-position bucketing)
+  agrees with the per-sample gather oracle
+  (:func:`tests.oracles.per_position_conv`) to floating-point round-off at
+  kept positions, is **exactly zero** at dropped positions, and is
   **bit-identical** to its own per-request
   execution for every batch composition, bucket-boundary kept-count,
   quantum, stride, and padded geometry;
@@ -17,10 +17,9 @@ Contract under test (see ``_ragged_spatial_conv`` in
   windows) carries spatial threshold masks end-to-end without changing a
   single response, and surfaces the ``ragged_spatial`` dispatch counter
   through session telemetry;
-* fixed top-k column sites dispatch the bucketed kernel under
-  ``ragged_mode="auto"`` and the per-position oracle under ``"never"``,
-  and the adaptive engine's request bucket pairs the channel bucket with
-  a pooled kept-position bucket;
+* fixed top-k column sites dispatch the bucketed kernel, and the sparse
+  engine's request bucket pairs the channel bucket with a pooled
+  kept-position bucket;
 * ``FBSGate.mean_spatial_keep_pooled`` and
   ``DynamicPruning.mean_spatial_keep_pooled`` both go through
   :func:`repro.core.pruning.pooled_keep_fraction` — the FLOPs accounting
@@ -34,16 +33,13 @@ from repro.baselines.dynamic import FBSGate
 from repro.core.engine import create_engine
 from repro.core.masks import quantize_kept_count
 from repro.core.pruning import DynamicPruning, pooled_keep_fraction
-from repro.core.sparse_exec import (
-    PlanConfig,
-    dense_reference_forward,
-    output_keep_grid,
-    sparse_conv2d,
-)
+from repro.core.sparse_exec import PlanConfig, output_keep_grid, sparse_conv2d
 from repro.models import build_conv_stack
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 from repro.serve import InferenceSession, SessionConfig
+
+from .oracles import per_position_conv
 
 TIGHT = dict(rtol=1e-4, atol=1e-5)
 
@@ -99,7 +95,7 @@ def _capture_site_scores(stack, pruners, calib):
 
         pruner._score = wrapped
     try:
-        dense_reference_forward(stack, calib)
+        create_engine(stack, backend="dense")(calib)
     finally:
         for pruner, original in saved:
             pruner._score = original
@@ -138,18 +134,13 @@ def _spatial_threshold_stack(keep, image_size, width, depth, seed):
     return stack, pruners
 
 
-def _run(x, weight, bias, stride, padding, cm, sm, strategy, quantum=4):
-    return sparse_conv2d(
-        x,
-        weight,
-        bias,
-        stride,
-        padding,
-        cm,
-        sm,
-        strategy=strategy,
-        kept_quantum=quantum,
-    )
+def _run(x, weight, bias, stride, padding, cm, sm, quantum=4):
+    return sparse_conv2d(x, weight, bias, stride, padding, cm, sm, kept_quantum=quantum)
+
+
+def _oracle(x, weight, bias, stride, padding, cm, sm):
+    oh, ow = F.conv_output_shape(x.shape[2], x.shape[3], weight.shape[2], stride, padding)
+    return per_position_conv(x, weight, bias, stride, padding, sm, cm, oh, ow)
 
 
 # ----------------------------------------------------------------------
@@ -165,8 +156,8 @@ class TestCombinedChannelSpatial:
         cm = _channel_mask(rng, n, cin)
         counts = rng.integers(1, h * w, size=n)
         sm = _spatial_mask(rng, h, w, counts)
-        ragged = _run(x, weight, bias, stride, padding, cm, sm, None)
-        perpos = _run(x, weight, bias, stride, padding, cm, sm, "per_position")
+        ragged = _run(x, weight, bias, stride, padding, cm, sm)
+        perpos = _oracle(x, weight, bias, stride, padding, cm, sm)
         np.testing.assert_allclose(ragged, perpos, **TIGHT)
         oh, ow = ragged.shape[2], ragged.shape[3]
         keep = output_keep_grid(sm, stride, oh, ow)
@@ -182,11 +173,11 @@ class TestCombinedChannelSpatial:
         weight, bias = _conv_params(rng, cin, cout, kernel)
         cm = _channel_mask(rng, n, cin)
         sm = _spatial_mask(rng, h, w, rng.integers(0, h * w + 1, size=n))
-        batched = _run(x, weight, bias, stride, padding, cm, sm, None)
+        batched = _run(x, weight, bias, stride, padding, cm, sm)
         for i in range(n):
             solo = _run(
                 x[i : i + 1], weight, bias, stride, padding,
-                cm[i : i + 1], sm[i : i + 1], None,
+                cm[i : i + 1], sm[i : i + 1],
             )
             np.testing.assert_array_equal(batched[i : i + 1], solo)
 
@@ -197,10 +188,10 @@ class TestCombinedChannelSpatial:
         weight, bias = _conv_params(rng, cin, cout, kernel)
         cm = _channel_mask(rng, n, cin)
         sm = _spatial_mask(rng, h, w, rng.integers(1, h * w, size=n))
-        out = _run(x, weight, bias, stride, padding, cm, sm, None)
+        out = _run(x, weight, bias, stride, padding, cm, sm)
         perm = rng.permutation(n)
         permuted = _run(
-            x[perm], weight, bias, stride, padding, cm[perm], sm[perm], None,
+            x[perm], weight, bias, stride, padding, cm[perm], sm[perm],
         )
         np.testing.assert_array_equal(permuted, out[perm])
 
@@ -214,14 +205,14 @@ class TestCombinedChannelSpatial:
         weight, bias = _conv_params(rng, cin, cout, kernel)
         cm = _channel_mask(rng, n, cin)
         sm = _spatial_mask(rng, h, w, counts)
-        ragged = _run(x, weight, bias, stride, padding, cm, sm, None)
-        perpos = _run(x, weight, bias, stride, padding, cm, sm, "per_position")
+        ragged = _run(x, weight, bias, stride, padding, cm, sm)
+        perpos = _oracle(x, weight, bias, stride, padding, cm, sm)
         np.testing.assert_allclose(ragged, perpos, **TIGHT)
         assert not ragged[0].any()  # nothing kept -> output exactly zero
         for i in range(n):
             solo = _run(
                 x[i : i + 1], weight, bias, stride, padding,
-                cm[i : i + 1], sm[i : i + 1], None,
+                cm[i : i + 1], sm[i : i + 1],
             )
             np.testing.assert_array_equal(ragged[i : i + 1], solo)
 
@@ -232,16 +223,16 @@ class TestCombinedChannelSpatial:
         x = rng.normal(size=(n, cin, h, w)).astype(np.float32)
         weight, bias = _conv_params(rng, cin, cout, kernel)
         sm = _spatial_mask(rng, h, w, rng.integers(1, h * w, size=n))
-        perpos = _run(x, weight, bias, stride, padding, None, sm, "per_position")
+        perpos = _oracle(x, weight, bias, stride, padding, None, sm)
         for quantum in (1, 4, 16):
             out = _run(
-                x, weight, bias, stride, padding, None, sm, None, quantum=quantum,
+                x, weight, bias, stride, padding, None, sm, quantum=quantum,
             )
             np.testing.assert_allclose(out, perpos, **TIGHT)
             solo = np.concatenate([
                 _run(
                     x[i : i + 1], weight, bias, stride, padding, None,
-                    sm[i : i + 1], None, quantum=quantum,
+                    sm[i : i + 1], quantum=quantum,
                 )
                 for i in range(n)
             ])
@@ -260,7 +251,7 @@ class TestCombinedChannelSpatial:
             dense = F.conv2d(
                 Tensor(x), Tensor(weight), Tensor(bias), stride, padding
             ).data
-        out = _run(x, weight, bias, stride, padding, None, sm, None)
+        out = _run(x, weight, bias, stride, padding, None, sm)
         keep = output_keep_grid(sm, stride, out.shape[2], out.shape[3])
         for i in range(n):
             np.testing.assert_allclose(
@@ -297,9 +288,7 @@ class TestSpatialServing:
     def test_threaded_session_bit_identical_with_counters(self, rng):
         stack, _ = _spatial_threshold_stack(0.5, 16, width=16, depth=3, seed=0)
         engine = create_engine(
-            stack,
-            backend="adaptive",
-            config=PlanConfig(batch_invariant=True, dense_threshold=0.0),
+            stack, backend="sparse", config=PlanConfig(batch_invariant=True)
         )
         requests = [
             rng.normal(size=(1, 3, 16, 16)).astype(np.float32) for _ in range(10)
@@ -347,22 +336,17 @@ class TestSpatialServing:
 
 
 # ----------------------------------------------------------------------
-# Fixed top-k column sites: default kernel vs the pre-ragged dispatch
+# Fixed top-k column sites
 # ----------------------------------------------------------------------
 class TestTopkColumns:
-    @pytest.mark.parametrize(
-        "mode, label", [("auto", "ragged_spatial"), ("never", "per_position")]
-    )
-    def test_dispatched_kernel(self, rng, mode, label):
-        # Fixed top-k column sites run the bucketed kernel, or the
-        # per-sample gather loop only under the pre-ragged dispatch.
+    def test_dispatched_kernel(self, rng):
+        # Fixed top-k column sites run the kept-position bucketed kernel.
         stack = build_conv_stack(0.4, spatial_ratio=0.5, width=8, depth=3, seed=0)
-        config = PlanConfig(
-            batch_invariant=True, dense_threshold=0.0, ragged_mode=mode
+        engine = create_engine(
+            stack, backend="sparse", config=PlanConfig(batch_invariant=True)
         )
-        engine = create_engine(stack, backend="sparse", config=config)
         engine(rng.normal(size=(4, 3, 12, 12)).astype(np.float32))
-        assert engine.stats()["dispatch"][label] > 0
+        assert engine.stats()["dispatch"]["ragged_spatial"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +355,7 @@ class TestTopkColumns:
 class TestRequestBucket:
     def test_spatial_stack_returns_tuple_bucket(self, rng):
         stack, pruners = _spatial_threshold_stack(0.5, 12, width=12, depth=2, seed=0)
-        engine = create_engine(stack, backend="adaptive")
+        engine = create_engine(stack, backend="sparse")
         x = rng.normal(size=(1, 3, 12, 12)).astype(np.float32)
         bucket = engine.request_bucket(x)
         assert isinstance(bucket, tuple) and len(bucket) == 2
@@ -394,7 +378,7 @@ class TestRequestBucket:
             if isinstance(module, DynamicPruning):
                 module.mask_mode = "threshold"
                 module.threshold = 0.05
-        engine = create_engine(stack, backend="adaptive")
+        engine = create_engine(stack, backend="sparse")
         bucket = engine.request_bucket(
             rng.normal(size=(1, 3, 12, 12)).astype(np.float32)
         )
