@@ -119,9 +119,8 @@ class FBSGate(Module):
     # FBS prunes only channels, so its spatial mask is all-True — but the
     # pooled keep is still *computed* through the same
     # :func:`repro.core.pruning.pooled_keep_fraction` helper DynamicPruning
-    # and the serving bucket telemetry use, rather than hardcoded, so the
-    # FLOPs accounting and the scheduler can never diverge on pooling
-    # semantics.
+    # uses, rather than hardcoded, so the FLOPs accounting of the two
+    # methods can never diverge on pooling semantics.
     @property
     def mean_spatial_keep_pooled(self) -> float:
         return (

@@ -110,20 +110,6 @@ class EngineProtocol:
     def describe(self) -> str:
         return f"{type(self).__name__}(backend={self.backend!r})"
 
-    def request_bucket(self, x: np.ndarray) -> Optional[object]:
-        """Scheduling bucket hint for one request (``None`` = unbucketed).
-
-        Engines that can cheaply predict how a request will group inside
-        their batching machinery (e.g. the sparse plan's kept-count
-        buckets) override this; the serving scheduler uses it for
-        kept-count-aware window assembly when
-        :attr:`repro.serve.SessionConfig.bucket_requests` is on.  The
-        value only needs to be hashable: channel-only plans return an
-        ``int`` kept-count bucket, plans whose first site also prunes
-        spatially return a ``(channel_bucket, spatial_bucket)`` tuple.
-        """
-        return None
-
 
 # ----------------------------------------------------------------------
 # Model normalization helpers
@@ -283,18 +269,6 @@ class SparseEngine(EngineProtocol):
     def reset_stats(self) -> None:
         self.plan.reset_stats()
 
-    def request_bucket(self, x: np.ndarray) -> Optional[object]:
-        """Kept-count bucket of the plan's first pruning site for ``x``.
-
-        Runs the compiled op prefix up to the first site (a fraction of a
-        forward pass, on the calling thread, thread-safe); ``None`` when
-        the plan has no active pruning site.  An ``int`` for channel-only
-        sites, a ``(channel_bucket, spatial_bucket)`` tuple when the site
-        prunes spatially too — both hashable, which is all the scheduler
-        needs.
-        """
-        return self.plan.kept_count_bucket(np.asarray(x, dtype=np.float32))
-
     def describe(self) -> str:
         if isinstance(self.model, ResNet):
             return f"SparseEngine(ResNetPlan, {len(self.plan.blocks)} blocks)"
@@ -348,16 +322,15 @@ def _build_auto(
 
 
 def _build_procpool(
-    model: object = None,
+    model: object,
     config: Optional[PlanConfig] = None,
     **kwargs: object,
 ) -> EngineProtocol:
     """Process-parallel engine pool (lazy import: it lives in the serving
     layer, one level up — see :mod:`repro.serve.procpool`).
 
-    Accepts ``proc_workers=N`` plus the pool's transport knobs
-    (``slots_per_worker``, ``slot_mb``, and the ``registry``/``ref`` pair
-    for artifact-based worker startup).
+    Accepts ``proc_workers=N``, the pool's shared-memory slot size
+    ``slot_mb`` and ``profile``; every worker compiles ``model`` itself.
     """
     from ..serve.procpool import ProcPoolEngine
 

@@ -88,13 +88,8 @@ from ..nn import (
     Sequential,
 )
 from ..nn import functional as F
-from .masks import (
-    group_by_kept_count,
-    output_grid_mask,
-    quantize_kept_count,
-    reserved_count,
-)
-from .pruning import DynamicPruning, pooled_keep_fraction
+from .masks import group_by_kept_count, output_grid_mask, reserved_count
+from .pruning import DynamicPruning
 from .workspace import ArenaPool, WorkspaceArena
 
 __all__ = [
@@ -905,45 +900,6 @@ class _PruneOp:
         state.ragged = layer.adaptive
         return x
 
-    def bucket_hint(self, fm: np.ndarray) -> Optional[object]:
-        """Quantized kept-count bucket of this site for a probe feature map.
-
-        Used by the serving scheduler's kept-count-aware window assembly
-        (:meth:`ExecutionPlan.kept_count_bucket`); returns ``None`` when
-        the site prunes neither axis.  Channel-only sites return the
-        quantized mean kept-channel count (an ``int``, the historical
-        contract); sites with spatial pruning return a
-        ``(channel_bucket, spatial_bucket)`` tuple so the collector
-        shards spatial buckets too.  The spatial bucket is the
-        *pooled* kept-position count — pooled with
-        :func:`repro.core.pruning.pooled_keep_fraction` and the site's
-        ``pool_between``, the same basis the FLOPs accounting uses —
-        quantized into eighths of the grid (finer sharding would give
-        almost every request its own window).
-        """
-        layer = self.layer
-        if not layer.active:
-            return None
-        if layer.channel_ratio <= 0.0 and layer.spatial_ratio <= 0.0:
-            return None
-        channel_mask, spatial_mask = layer.compute_masks(fm, update_stats=False)
-        channel_bucket: Optional[int] = None
-        if layer.channel_ratio > 0.0 and channel_mask is not None:
-            counts = channel_mask.sum(axis=1)
-            channel_bucket = quantize_kept_count(
-                int(round(float(counts.mean()))),
-                channel_mask.shape[1],
-                KEPT_QUANTUM,
-            )
-        if layer.spatial_ratio <= 0.0 or spatial_mask is None:
-            return channel_bucket
-        frac = pooled_keep_fraction(spatial_mask, layer.pool_between)
-        total = int(spatial_mask[0].size)
-        spatial_bucket = quantize_kept_count(
-            int(round(frac * total)), total, max(1, -(-total // 8))
-        )
-        return (channel_bucket, spatial_bucket)
-
 
 class _GateOp:
     """A compiled FBS-style learned gate (:class:`repro.baselines.dynamic.FBSGate`).
@@ -1108,28 +1064,6 @@ class ExecutionPlan:
             x = op.run(x, state, self)
         return x
 
-    def kept_count_bucket(self, x: np.ndarray) -> Optional[object]:
-        """Quantized kept-count bucket of the *first* pruning site for ``x``.
-
-        The serving scheduler's kept-count-aware window assembly calls
-        this at admission time to group requests that will bucket together
-        inside the engine.  It runs the op prefix up to the first
-        :class:`_PruneOp` (a fraction of a forward pass) and returns
-        ``None`` when the plan has no pruning site — callers then fall
-        back to unbucketed scheduling.  Channel-only sites yield an
-        ``int``; sites with spatial pruning yield a
-        ``(channel_bucket, spatial_bucket)`` tuple (see
-        :meth:`_PruneOp.bucket_hint`) — both hashable, which is all the
-        scheduler needs.  The probe's convolutions use the calling
-        thread's arena and count toward dispatch telemetry.
-        """
-        state = _MaskState()
-        for op in self.ops:
-            if isinstance(op, _PruneOp):
-                return op.bucket_hint(x)
-            x = op.run(x, state, self)
-        return None
-
     def reset_stats(self) -> None:
         """Zero the dispatch counters."""
         with self._dispatch_lock:
@@ -1148,8 +1082,10 @@ class SparseSequentialExecutor:
 
     Interprets a (possibly instrumented) ``Sequential`` of ``Conv2d``,
     ``BatchNorm2d``, ``ReLU``, ``MaxPool2d``, ``GlobalAvgPool2d``,
-    ``Linear`` and ``DynamicPruning`` layers by compiling it into an
-    :class:`ExecutionPlan` once at construction.  When a ``DynamicPruning``
+    ``Linear``, ``Identity``, ``DynamicPruning`` and FBS gate layers by
+    compiling it into an :class:`ExecutionPlan` once at construction; the
+    compiler raises :class:`UnsupportedGraphError` for any other layer.
+    When a ``DynamicPruning``
     layer fires, its masks are computed exactly as in the dense path and
     the next convolution runs sparsely: only each sample's kept channels
     and kept columns' output positions are computed.
@@ -1160,18 +1096,8 @@ class SparseSequentialExecutor:
     means operationally.
     """
 
-    SUPPORTED = (Conv2d, BatchNorm2d, ReLU, MaxPool2d, GlobalAvgPool2d, Linear, DynamicPruning)
-
     def __init__(self, layers: Sequential, config: Optional[PlanConfig] = None):
-        from ..baselines.dynamic import FBSGate
-
-        supported = self.SUPPORTED + (FBSGate,)
         self.layers: List[Module] = _flatten(layers)
-        for layer in self.layers:
-            if not isinstance(layer, supported):
-                raise UnsupportedGraphError(
-                    f"SparseSequentialExecutor cannot interpret {type(layer).__name__}"
-                )
         self.plan = ExecutionPlan.compile(self.layers, config)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -1255,16 +1181,6 @@ class ResNetPlan(ExecutionPlan):
             out = self._run_block(block_plan, out)
         out = out.mean(axis=(2, 3))
         return self.fc.run(out, state, self)
-
-    def kept_count_bucket(self, x: np.ndarray) -> Optional[int]:
-        """Probe the first pruned block's site (see :class:`ExecutionPlan`)."""
-        out = self.stem.run(x, _MaskState(), self)
-        for block_plan in self.blocks:
-            if isinstance(block_plan.prune, _PruneOp):
-                fm = block_plan.conv1.run(out, _MaskState(), self)
-                return block_plan.prune.bucket_hint(fm)
-            out = self._run_block(block_plan, out)
-        return None
 
 
 class SparseResNetExecutor:

@@ -24,7 +24,6 @@ __all__ = [
     "im2col",
     "im2col_t",
     "im2col_loop",
-    "gather_columns_t",
     "gather_patches_nhwc",
     "default_tile_rows",
     "col2im",
@@ -84,8 +83,7 @@ def default_tile_rows(channels: int, kernel: int, out_w: int, itemsize: int) -> 
     Memoized per ``(geometry, dtype)``: every convolution dispatch calls
     this on the hot path, and the arguments form a tiny key space
     (``itemsize`` stands in for the dtype), so an LRU cache turns the
-    repeated arithmetic into one dict probe.  Tuned dispatch entries with
-    an explicit ``tile_rows`` bypass it entirely.
+    repeated arithmetic into one dict probe.
     """
     row_bytes = channels * kernel * kernel * out_w * itemsize
     return max(1, L2_TILE_BYTES // max(row_bytes, 1))
@@ -288,53 +286,6 @@ def im2col_t(
     return out
 
 
-def gather_columns_t(
-    col: np.ndarray,
-    indices: np.ndarray,
-    out: Optional[np.ndarray] = None,
-    rows: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Per-sample column-subset gather out of a channels-first patch matrix.
-
-    ``col`` is an :func:`im2col_t` result ``(N, K, P)``; ``indices`` holds
-    one row of column positions per gathered sample, shape ``(G, Pq)``.
-    Duplicate positions are allowed — ragged spatial buckets pad short rows
-    by re-gathering position 0 and discard the padded slots on scatter-back.
-    ``rows`` optionally selects *which* ``G`` samples of ``col`` to gather
-    from (default: the first ``G`` in order), so bucket subsets never
-    materialize a fancy-indexed ``(G, K, P)`` copy of the source.
-
-    The gather runs sample-by-sample with ``np.take(..., out=...)`` straight
-    into ``out`` (caller-provided, e.g. a workspace-arena view), keeping the
-    column extraction allocation-free on the sparse engine's hot path.
-    Returns the ``(G, K, Pq)`` destination.
-    """
-    if col.ndim != 3:
-        raise ValueError(f"col must be (N, K, P), got shape {col.shape}")
-    if indices.ndim != 2:
-        raise ValueError(f"indices must be (G, Pq), got shape {indices.shape}")
-    n, k, p = col.shape
-    g, pq = indices.shape
-    if rows is None:
-        if g > n:
-            raise ValueError(f"indices has {g} rows but col has only {n} samples")
-    elif rows.shape != (g,):
-        raise ValueError(f"rows must have shape ({g},), got {rows.shape}")
-    if indices.size and (int(indices.min()) < 0 or int(indices.max()) >= p):
-        raise IndexError(f"column indices out of range for {p} positions")
-    shape = (g, k, pq)
-    if out is None:
-        out = np.empty(shape, dtype=col.dtype)
-    else:
-        _check_out(out, shape, col.dtype)
-    for j in range(g):
-        src = col[j] if rows is None else col[int(rows[j])]
-        # Bounds were validated once above; mode="clip" keeps np.take
-        # unbuffered so it writes the destination view directly.
-        np.take(src, indices[j], axis=1, out=out[j], mode="clip")
-    return out
-
-
 def gather_patches_nhwc(
     xpt: np.ndarray,
     kernel: int,
@@ -346,10 +297,9 @@ def gather_patches_nhwc(
 ) -> np.ndarray:
     """Kept-position conv patches out of a padded channels-last input.
 
-    The position-subset twin of :func:`gather_columns_t` that skips the
-    full unfold entirely: instead of materializing every output column
-    with :func:`im2col_t` and then selecting a subset, it gathers only
-    the requested columns straight from the (already zero-padded)
+    Skips the full unfold entirely: instead of materializing every output
+    column with :func:`im2col_t` and then selecting a subset, it gathers
+    only the requested columns straight from the (already zero-padded)
     ``(N, Hp, Wp, C)`` channels-last input — tap by tap, so every copy
     runs over contiguous length-``C`` channel runs.  Gather traffic is
     proportional to the *kept* fraction, which is what makes ragged

@@ -10,7 +10,7 @@ escalated requests re-enter the next denser stage's micro-batching queue.
 Under skewed traffic most requests exit at the cheap stage and the
 expensive model only sees the hard tail — a scenario-level speedup
 multiplicative with everything the per-stage engines already do
-(mask-signature batching, ragged execution, weight-slice caching).
+(skipping each input's pruned channels and columns in batched kernels).
 
 Gates (``higher = more confident``, computed on plain logits with the
 stable helpers in :mod:`repro.nn.functional`):
@@ -609,7 +609,7 @@ class CascadeSession:
         """Cascade telemetry: gate decisions plus every stage's session stats.
 
         ``stages[i]`` merges the stage's own :meth:`InferenceSession.stats`
-        (latency quantiles, occupancy, worker/bucket windows) with the
+        (latency quantiles, occupancy, per-worker windows) with the
         cascade's routing counters: ``entered`` (requests that reached the
         stage), ``accepted`` (answered there) and ``escalated``
         (``entered - accepted``; always 0 for the final stage).

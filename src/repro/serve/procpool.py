@@ -5,7 +5,7 @@ GIL and BLAS contention, so numpy serving never scales across cores.
 :class:`ProcPoolEngine` is the process-based answer: ``N`` worker
 *processes*, each of which builds its own ``sparse`` engine — compiling
 the :class:`~repro.core.sparse_exec.ExecutionPlan` exactly once at startup,
-from the same model (or registry artifact ref) and the same
+from the same model and the same
 :class:`~repro.core.sparse_exec.PlanConfig` with ``batch_invariant=True``
 forced — so every process is a bit-identical replica and which process
 answered a request is unobservable in the response.  Unless the user
@@ -37,9 +37,8 @@ Construction goes through the engine factory::
 
 and the engine drops into :class:`~repro.serve.InferenceSession`
 unchanged (it declares ``thread_safe``, so N session threads dispatch to
-the pool concurrently).  It additionally declares ``shards_by_bucket``:
-the session scheduler routes same-bucket windows (kept-count buckets)
-to the same process.
+the pool concurrently).  Dispatches go round-robin over the live
+workers.
 """
 
 from __future__ import annotations
@@ -81,6 +80,17 @@ BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: constructor and its collector's respawns may start workers at once.
 _SPAWN_ENV_LOCK = threading.Lock()
 
+#: Shared-memory slots per worker process; the slot count bounds in-flight
+#: dispatches (backpressure).
+SLOTS_PER_WORKER = 2
+
+#: Total worker respawns before the pool stops replacing dead processes —
+#: a guard against a crash-looping model, not a tunable.
+RESPAWN_LIMIT = 8
+
+#: Seconds the constructor waits for every worker to compile its plan.
+START_TIMEOUT_S = 120.0
+
 
 def _blas_thread_budget(proc_workers: int) -> Optional[int]:
     """BLAS threads per worker process, or ``None`` if the user chose.
@@ -103,21 +113,11 @@ def _blas_thread_budget(proc_workers: int) -> Optional[int]:
 def _build_worker_engine(spec: Dict[str, Any]) -> EngineProtocol:
     """Compile this process's engine replica from the shared spec.
 
-    Either rebuilds from a registry artifact ref (``registry`` +
-    ``ref``), or unpickles the model shipped through the spawn args.
+    The model arrives pickled through the spawn args.
     ``batch_invariant=True`` was forced into ``spec["config"]`` by the
     builder, so every replica compiles the identical plan.
     """
-    config: PlanConfig = spec["config"]
-    if spec.get("registry") is not None:
-        from .registry import ModelRegistry, parse_ref
-
-        name, version = parse_ref(spec["ref"])
-        artifact = ModelRegistry(spec["registry"]).load(name, version)
-        model = artifact.handle if artifact.handle is not None else artifact.model
-    else:
-        model = spec["model"]
-    engine = create_engine(model, backend="sparse", config=config)
+    engine = create_engine(spec["model"], backend="sparse", config=spec["config"])
     if spec.get("profile"):
         # Opt-in per-op profiling: the worker's plan records per-geometry
         # wall time + bytes moved, reported home via the ("stats",) round
@@ -296,10 +296,7 @@ class ProcPoolEngine(EngineProtocol):
     Parameters
     ----------
     model:
-        Model (or instrumentation handle) every worker compiles.  May be
-        ``None`` when ``registry``/``ref`` name an artifact instead — then
-        each worker rebuilds from disk (the registry manifests carry
-        SHA-256 hashes, so all replicas are provably the same weights).
+        Model (or instrumentation handle) every worker compiles.
     config:
         :class:`PlanConfig` for the workers' plans.  ``batch_invariant``
         is forced on — the pool exists to serve, and served responses
@@ -307,16 +304,11 @@ class ProcPoolEngine(EngineProtocol):
         them.
     proc_workers:
         Worker process count.  Each worker builds a ``sparse`` engine.
-    registry, ref:
-        Artifact-ref startup: registry root and ``name``/``name@vN``.
-    slots_per_worker, slot_mb:
-        Shared-memory ring geometry: ``proc_workers * slots_per_worker``
-        slots of ``slot_mb`` MiB each.  The slot count bounds in-flight
-        dispatches (backpressure); a request or response larger than one
-        slot is rejected with ``ValueError``.
-    respawn_limit:
-        Total worker respawns before the pool stops replacing dead
-        processes (a guard against a crash-looping model, not a tunable).
+    slot_mb:
+        Shared-memory slot size: the ring holds
+        ``proc_workers *`` :data:`SLOTS_PER_WORKER` slots of ``slot_mb``
+        MiB each.  A request or response larger than one slot is rejected
+        with ``ValueError``.
     profile:
         Attach a :class:`repro.obs.PlanProfiler` to every worker's plan;
         per-geometry wall-time/bytes rows come home through
@@ -327,45 +319,28 @@ class ProcPoolEngine(EngineProtocol):
 
     backend = "procpool"
     thread_safe = True
-    #: The session scheduler may pass ``forward(x, shard=bucket)`` so
-    #: same-bucket windows pin to one process.
-    shards_by_bucket = True
 
     def __init__(
         self,
-        model: object = None,
+        model: object,
         config: Optional[PlanConfig] = None,
         proc_workers: int = 2,
-        registry: Optional[str] = None,
-        ref: Optional[str] = None,
-        slots_per_worker: int = 2,
         slot_mb: float = 8.0,
-        respawn_limit: int = 8,
-        start_timeout: float = 120.0,
         profile: bool = False,
     ):
         if proc_workers < 1:
             raise ValueError("proc_workers must be >= 1")
-        if model is None and (registry is None or ref is None):
-            raise ValueError("procpool needs a model or a registry root + artifact ref")
-        if registry is not None and ref is None:
-            raise ValueError("registry given without an artifact ref")
         config = dataclasses.replace(config or PlanConfig(), batch_invariant=True)
         self._spec: Dict[str, Any] = {
+            "model": model,
             "config": config,
-            "registry": registry,
-            "ref": ref,
             "profile": profile,
         }
-        if registry is None:
-            self._spec["model"] = model
-        self._model = model
         self.plan_config = config
         self.proc_workers = proc_workers
-        self.respawn_limit = respawn_limit
         self._ctx = get_context("spawn")
         slot_bytes = max(int(slot_mb * (1 << 20)), 1 << 16)
-        self._ring = _SlotRing(max(proc_workers * slots_per_worker, 2), slot_bytes)
+        self._ring = _SlotRing(max(proc_workers * SLOTS_PER_WORKER, 2), slot_bytes)
         self._lock = threading.Lock()
         self._closed = False
         self._collector_stop = False
@@ -376,7 +351,6 @@ class ProcPoolEngine(EngineProtocol):
         self._dispatches: Dict[str, int] = {}
         self._respawns = 0
         self._errors = 0
-        self._probe: Optional[EngineProtocol] = None
         self._wake_r, self._wake_w = os.pipe()
         self._workers: List[_WorkerHandle] = [
             self._spawn(index, gen=0) for index in range(proc_workers)
@@ -385,7 +359,7 @@ class ProcPoolEngine(EngineProtocol):
             target=self._collect_loop, name="procpool-collector", daemon=True
         )
         self._collector.start()
-        self._await_ready(start_timeout)
+        self._await_ready(START_TIMEOUT_S)
 
     # -- startup -------------------------------------------------------
     def _spawn(self, index: int, gen: int) -> _WorkerHandle:
@@ -432,7 +406,7 @@ class ProcPoolEngine(EngineProtocol):
             time.sleep(0.01)
 
     # -- dispatch ------------------------------------------------------
-    def forward(self, x: np.ndarray, shard: Any = None) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         array = np.ascontiguousarray(np.asarray(x, dtype=np.float32))
         if array.nbytes > self._ring.slot_bytes:
             raise ValueError(
@@ -447,7 +421,7 @@ class ProcPoolEngine(EngineProtocol):
             with self._lock:
                 if self._closed:
                     raise ProcPoolClosed("cannot dispatch on a closed ProcPoolEngine")
-                handle = self._pick_worker(shard)
+                handle = self._pick_worker()
                 req_id = self._next_id
                 self._next_id += 1
                 self._inflight[req_id] = (waiter, handle.index, handle.gen, slot)
@@ -481,14 +455,11 @@ class ProcPoolEngine(EngineProtocol):
         assert waiter.value is not None
         return waiter.value
 
-    def _pick_worker(self, shard: Any) -> _WorkerHandle:
-        """Route a dispatch: stable shard hash, else round-robin; skip dead."""
+    def _pick_worker(self) -> _WorkerHandle:
+        """Route a dispatch round-robin over the live workers."""
         n = len(self._workers)
-        if shard is not None:
-            start = shard % n if isinstance(shard, int) else abs(hash(shard)) % n
-        else:
-            start = self._rr % n
-            self._rr += 1
+        start = self._rr % n
+        self._rr += 1
         for step in range(n):
             handle = self._workers[(start + step) % n]
             if not handle.dead:
@@ -592,7 +563,7 @@ class ProcPoolEngine(EngineProtocol):
                 del self._inflight[req_id]
             self._errors += len(swept)
             do_respawn = (
-                respawn and not self._closed and self._respawns < self.respawn_limit
+                respawn and not self._closed and self._respawns < RESPAWN_LIMIT
             )
             if do_respawn:
                 self._respawns += 1
@@ -615,23 +586,6 @@ class ProcPoolEngine(EngineProtocol):
                 self._workers[handle.index] = replacement
 
     # -- EngineProtocol surface ---------------------------------------
-    def request_bucket(self, x: np.ndarray) -> Optional[int]:
-        """Kept-count bucket probe, served by a parent-side replica.
-
-        The probe runs a fraction of a forward pass per request, so it
-        stays in-process (a pipe round trip per submit would dominate);
-        the replica compiles from the same spec, hence the same plan.
-        """
-        probe = self._probe_engine()
-        hint = getattr(probe, "request_bucket", None)
-        return hint(x) if hint is not None else None
-
-    def _probe_engine(self) -> EngineProtocol:
-        with self._lock:
-            if self._probe is None:
-                self._probe = _build_worker_engine(self._spec)
-            return self._probe
-
     def stats(self) -> Dict[str, object]:
         with self._lock:
             return {
@@ -679,8 +633,6 @@ class ProcPoolEngine(EngineProtocol):
                     handle.conn.send(("reset",))
                 except (BrokenPipeError, OSError):
                     pass
-        if self._probe is not None:
-            self._probe.reset_stats()
 
     def describe(self) -> str:
         ring = self._ring

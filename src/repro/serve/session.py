@@ -4,13 +4,15 @@
 owns an engine (any :class:`~repro.core.engine.EngineProtocol` backend), a
 bounded request queue, and N worker threads that **micro-batch** waiting
 requests before each engine call.  Fusing concurrent callers' requests is
-what lets the engine's mask-signature batching amortize *across callers* —
-one im2col/GEMM per mask group per window instead of per request.
+what lets the engine's kept-count grouping amortize *across callers* —
+one weight gather and GEMM per kept-count group per window instead of per
+request.
 
 Scheduling model (three knobs):
 
 * ``max_batch`` — the batch window: at most this many samples are fused
-  into one engine call.
+  into one engine call.  Windows fill in arrival order; a request that
+  would overflow one seeds the same worker's next window.
 * ``batch_window_ms`` — how long the collector waits for stragglers after
   the first request of a window arrives.  Under load the window fills
   instantly and the timeout never triggers; at low traffic a lone request
@@ -19,16 +21,11 @@ Scheduling model (three knobs):
   queue.  Plan-backed engines are thread-safe (read-only fused weights,
   per-thread workspace arenas — see
   :attr:`~repro.core.engine.EngineProtocol.thread_safe`), so N workers
-  run the engine concurrently and compute-bound traffic scales with
-  cores; an engine that does not declare thread safety is transparently
-  serialized behind a lock.  Which worker executes a window is invisible
-  in the responses — the batch-invariance contract below covers it.
-* ``bucket_requests`` / ``bucket_fn`` — kept-count-aware window assembly
-  for adaptive (threshold-mode) models: requests are tagged with their
-  engine bucket at submit time and only same-bucket requests fuse, so a
-  single heavy request does not pad every other sample's ragged GEMMs up
-  to its kept-count.  Off by default; purely a throughput knob (responses
-  are bit-identical either way).
+  run the engine concurrently; they scale with cores when BLAS runs one
+  thread (``OPENBLAS_NUM_THREADS=1``).  An engine that does not declare
+  thread safety is transparently serialized behind a lock.  Which worker
+  executes a window is invisible in the responses — the
+  batch-invariance contract below covers it.
 
 Correctness contract: sessions compile their engine with
 ``PlanConfig(batch_invariant=True)`` by default, so the response to a
@@ -58,8 +55,7 @@ import itertools
 import queue
 import threading
 import time
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,28 +94,10 @@ class SessionConfig:
         preserves the strictly-serial scheduler; ``N > 1`` needs (or
         serializes around) a thread-safe engine.
     bucket_requests:
-        Kept-count-aware window assembly for adaptive (threshold-mode)
-        models.  Each request is tagged at submit time with the engine's
-        :meth:`~repro.core.engine.EngineProtocol.request_bucket` hint —
-        the quantized kept-count of the plan's first pruning site — and
-        the collector only fuses same-bucket requests into a window, so
-        one heavy outlier does not drag zero-padded bucket work into
-        everyone else's GEMMs.  Mismatched arrivals are deferred, never
-        dropped, and become the seeds of the next windows in arrival
-        order.  The probe runs a fraction of a forward pass on the
-        submitting thread; responses stay bit-identical either way (the
-        engine is batch-invariant), so this knob is purely a throughput
-        trade.
-    bucket_fn:
-        Custom bucket key function ``(array) -> hashable`` overriding the
-        engine hint (e.g. to bucket by image size or a caller-side cost
-        class).  Implies bucket-aware assembly when set.
-    shard_by_bucket:
-        When the engine declares ``shards_by_bucket`` (the process-pool
-        backend), pass each window's scheduling bucket as a shard hint so
-        same-bucket windows pin to the same worker process.
-        Ignored for engines without sharding; purely a locality knob
-        (responses are bit-identical either way).
+        Accepted and ignored, so configurations that still name it (the
+        perfbench adaptive workload) keep loading.  Windows fill in
+        arrival order whatever its value: the channel kernel groups each
+        window's samples by their own kept counts.
     """
 
     max_batch: int = 8
@@ -127,8 +105,6 @@ class SessionConfig:
     queue_depth: int = 256
     workers: int = 1
     bucket_requests: bool = False
-    bucket_fn: Optional[Callable[[np.ndarray], Any]] = None
-    shard_by_bucket: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -207,19 +183,17 @@ class PendingResult:
 
 
 class _Request:
-    __slots__ = ("array", "pending", "bucket", "ctx", "root")
+    __slots__ = ("array", "pending", "ctx", "root")
 
     def __init__(
         self,
         array: np.ndarray,
         pending: PendingResult,
-        bucket: Any = None,
         ctx: Any = None,
         root: bool = False,
     ):
         self.array = array
         self.pending = pending
-        self.bucket = bucket
         #: Trace context for this request's spans (None when untraced).
         self.ctx = ctx
         #: True when this session owns the trace's root ``request`` span
@@ -311,7 +285,6 @@ class InferenceSession:
             help="Submit-to-resolve request latency",
         )
         self._worker_batches: Dict[str, int] = {}
-        self._bucket_batches: Dict[Any, int] = {}
         self._workers = [
             threading.Thread(
                 target=self._run,
@@ -422,10 +395,6 @@ class InferenceSession:
                 else:
                     ctx, root = tracer.new_trace(), True
                 pending.trace_id = ctx.trace_id
-        # The bucket probe runs before the lock (it may cost a fraction of
-        # a forward pass) and on the submitting thread, so N concurrent
-        # clients probe in parallel against the thread-safe engine.
-        bucket = self._request_bucket(array)
         # Holding the lock across the put keeps the check atomic with the
         # enqueue; close() takes the same lock before sending its
         # sentinel, so nothing enqueues behind it.  A put blocked on a
@@ -435,20 +404,9 @@ class InferenceSession:
             if self._closed:
                 raise SessionClosed("cannot submit to a closed InferenceSession")
             self._queue.put(
-                _Request(array, pending, bucket, ctx, root),
-                block=block,
-                timeout=timeout,
+                _Request(array, pending, ctx, root), block=block, timeout=timeout
             )
         return pending
-
-    def _request_bucket(self, array: np.ndarray) -> Any:
-        """Scheduling bucket for one normalized request (None = unbucketed)."""
-        if self.config.bucket_fn is not None:
-            return self.config.bucket_fn(array)
-        if self.config.bucket_requests:
-            probe = getattr(self.engine, "request_bucket", None)
-            return probe(array) if probe is not None else None
-        return None
 
     @staticmethod
     def _normalize(x: np.ndarray) -> np.ndarray:
@@ -502,59 +460,27 @@ class InferenceSession:
     # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
-    def _run_engine(self, fused: np.ndarray, bucket: Any = None) -> np.ndarray:
-        """One engine call, serialized only for non-thread-safe engines.
-
-        A non-``None`` ``bucket`` is forwarded as a shard hint to engines
-        that declare ``shards_by_bucket`` (the process pool), so windows
-        of one kept-count population land on one worker process.
-        """
-        if (
-            bucket is not None
-            and self.config.shard_by_bucket
-            and getattr(self.engine, "shards_by_bucket", False)
-        ):
-            call = lambda: self.engine.forward(fused, shard=bucket)  # noqa: E731
-        else:
-            call = lambda: self.engine(fused)  # noqa: E731
+    def _run_engine(self, fused: np.ndarray) -> np.ndarray:
+        """One engine call, serialized only for non-thread-safe engines."""
         if self._engine_lock is None:
-            return call()
+            return self.engine(fused)
         with self._engine_lock:
-            return call()
+            return self.engine(fused)
 
     def _collect(
-        self, first: _Request, stash: "Deque[_Request]"
-    ) -> Tuple[List[_Request], bool]:
-        """Gather up to ``max_batch`` same-bucket samples into one window.
+        self, first: _Request
+    ) -> Tuple[List[_Request], Optional[_Request], bool]:
+        """Gather up to ``max_batch`` samples into one window, in arrival order.
 
-        Returns ``(batch, saw_shutdown)``.  Requests that cannot join this
-        window — they would overflow it, or carry a different scheduling
-        bucket — are deferred onto ``stash`` and become the seeds of the
-        calling worker's next windows, in arrival order (no request is
-        ever dropped or starved: the stash is always drained before the
-        queue is touched again).  Collection state is all worker-local —
-        N workers collect from the shared queue concurrently.  With
-        bucketing off every request's bucket is ``None``, and this reduces
-        exactly to the original single-carry collector.
+        Returns ``(batch, carry, saw_shutdown)``.  A request that would
+        overflow the window is returned as ``carry`` and seeds the calling
+        worker's next window; collection stops there, so the rest of the
+        queue stays shared with sibling workers.  Collection state is all
+        worker-local — N workers collect from the shared queue
+        concurrently.
         """
         batch = [first]
-        saw_shutdown = False
         size = first.array.shape[0]
-        bucket = first.bucket
-        # Compatible requests deferred by an earlier window join first.
-        if stash:
-            passed_over: List[_Request] = []
-            while stash:
-                request = stash.popleft()
-                if (
-                    request.bucket == bucket
-                    and size + request.array.shape[0] <= self.config.max_batch
-                ):
-                    batch.append(request)
-                    size += request.array.shape[0]
-                else:
-                    passed_over.append(request)
-            stash.extend(passed_over)
         deadline = time.perf_counter() + self.config.batch_window_ms / 1e3
         while size < self.config.max_batch:
             remaining = deadline - time.perf_counter()
@@ -571,28 +497,14 @@ class InferenceSession:
                 # one sentinel per worker, so the accounting only works if
                 # a worker never consumes a second one — _run guarantees
                 # that by never touching the queue again once shutdown is
-                # seen (deferred stash entries execute as lone windows).
-                saw_shutdown = True
-                break
+                # seen.
+                return batch, None, True
             request = item  # type: ignore[assignment]
-            if (
-                request.bucket != bucket
-                or size + request.array.shape[0] > self.config.max_batch
-            ):
-                # Wrong bucket or would overflow: defer to a later window.
-                stash.append(request)
-                if (
-                    request.bucket != bucket
-                    and time.perf_counter() < deadline
-                ):
-                    continue  # keep filling this bucket until the deadline
-                # Past the deadline (or same-bucket overflow) the hunt
-                # stops: draining further would let one worker pull the
-                # whole queue into its local stash while siblings starve.
-                break
+            if size + request.array.shape[0] > self.config.max_batch:
+                return batch, request, False
             batch.append(request)
             size += request.array.shape[0]
-        return batch, saw_shutdown
+        return batch, None, False
 
     def _trace_window(
         self,
@@ -623,7 +535,6 @@ class InferenceSession:
             "worker": worker,
             "requests": len(batch),
             "samples": sum(r.array.shape[0] for r in batch),
-            "bucket": str(batch[0].bucket),
         }
         for request in batch:
             ctx = request.ctx
@@ -671,7 +582,7 @@ class InferenceSession:
             fused = batch[0].array if len(batch) == 1 else np.concatenate(
                 [r.array for r in batch], axis=0
             )
-            out = self._run_engine(fused, batch[0].bucket)
+            out = self._run_engine(fused)
         except BaseException as error:  # noqa: BLE001 - surfaced per request
             if traced:
                 _obs.reset_current(prev_ctx)
@@ -700,9 +611,6 @@ class InferenceSession:
             self._h_latency.observe(done - request.pending.submitted_at)
         with self._lock:
             self._worker_batches[worker] = self._worker_batches.get(worker, 0) + 1
-            bucket = batch[0].bucket
-            if bucket is not None:
-                self._bucket_batches[bucket] = self._bucket_batches.get(bucket, 0) + 1
         if len(batch) == 1:
             # Sole request in the window: the engine output is exactly its
             # result, no fused buffer to pin — hand it over as-is.
@@ -717,14 +625,11 @@ class InferenceSession:
             offset += size
 
     def _run(self, worker: str) -> None:
-        stash: Deque[_Request] = deque()
-        shutdown = False
+        carry: Optional[_Request] = None
         while True:
-            if stash:
-                first = stash.popleft()
+            if carry is not None:
+                first, carry = carry, None
             else:
-                if shutdown:
-                    break
                 item = self._queue.get()
                 if item is _SHUTDOWN:
                     break
@@ -732,15 +637,13 @@ class InferenceSession:
             # The window opens the moment its seed request is in hand;
             # queue_wait spans end here, window_assembly spans start here.
             window_open = time.perf_counter() if _obs.enabled else 0.0
-            if shutdown:
-                # Already holding the exit ticket: drain the deferred
-                # stash as lone windows without pulling from the queue —
-                # collecting again could swallow a sibling's sentinel.
-                batch: List[_Request] = [first]
-            else:
-                batch, saw_shutdown = self._collect(first, stash)
-                shutdown = shutdown or saw_shutdown
+            batch, carry, shutdown = self._collect(first)
             self._execute(batch, worker, window_open)
+            if shutdown:
+                # Holding the exit ticket, with nothing carried (_collect
+                # stops at the sentinel): collecting again could swallow
+                # a sibling's sentinel.
+                break
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -761,11 +664,6 @@ class InferenceSession:
         batched_samples = int(self._c_batched_samples.value)
         with self._lock:
             per_worker = dict(self._worker_batches)
-            bucket_windows = {
-                str(key): count for key, count in sorted(
-                    self._bucket_batches.items(), key=lambda kv: str(kv[0])
-                )
-            }
         self._g_queue.set(self._queue.qsize())
         stats: Dict[str, Any] = {
             "requests": int(self._c_requests.value),
@@ -775,7 +673,6 @@ class InferenceSession:
             "max_batch": self.config.max_batch,
             "workers": self.config.workers,
             "per_worker": per_worker,
-            "bucket_windows": bucket_windows,
             "mean_batch": (batched_samples / batches) if batches else 0.0,
             "occupancy": (
                 batched_samples / (batches * self.config.max_batch)
@@ -817,7 +714,6 @@ class InferenceSession:
             instrument.reset()
         with self._lock:
             self._worker_batches = {}
-            self._bucket_batches = {}
         self.engine.reset_stats()
 
     # ------------------------------------------------------------------

@@ -19,10 +19,10 @@ import pytest
 
 from repro.core.sparse_exec import PlanConfig
 from repro.models import build_conv_stack
+from repro.nn import AvgPool2d, Sequential
 from repro.serve.procpool import BLAS_THREAD_ENV
 from repro.serve import (
     InferenceSession,
-    ModelRegistry,
     ProcPoolClosed,
     ProcPoolEngine,
     ProcWorkerError,
@@ -65,7 +65,6 @@ class TestProcPoolBasics:
         assert isinstance(pool, ProcPoolEngine)
         assert pool.backend == "procpool"
         assert pool.thread_safe
-        assert pool.shards_by_bucket
         assert "2 processes" in pool.describe()
 
     def test_batch_invariant_forced(self, stack_model):
@@ -99,14 +98,6 @@ class TestProcPoolBasics:
         assert stats["in_flight"] == 0
         assert stats["workers_alive"] == 2
 
-    def test_shard_hint_pins_one_process(self, pool):
-        pool.reset_stats()
-        for x in make_requests(4, seed=4):
-            pool.forward(x, shard=17)
-        per_process = pool.stats()["per_process"]
-        assert sum(per_process.values()) == 4
-        assert len(per_process) == 1  # every dispatch landed on one worker
-
     def test_process_stats_reach_the_workers(self, pool):
         pool.reset_stats()
         for x in make_requests(2, seed=5):
@@ -133,27 +124,6 @@ class TestProcPoolSession:
             outputs = session.infer_many(requests)
         for got, want in zip(outputs, expected):
             np.testing.assert_array_equal(got, want)
-
-    def test_registry_ref_startup(self, tmp_path, stack_model, local_engine):
-        registry = ModelRegistry(tmp_path / "reg")
-        registry.save(
-            "stack",
-            stack_model,
-            arch={
-                "family": "conv_stack",
-                "channel_ratio": 0.5,
-                "width": 16,
-                "depth": 3,
-            },
-        )
-        engine = ProcPoolEngine(
-            proc_workers=1, registry=str(tmp_path / "reg"), ref="stack"
-        )
-        try:
-            x = make_requests(1, seed=7)[0]
-            np.testing.assert_array_equal(engine(x), local_engine(x))
-        finally:
-            engine.close()
 
 
 class TestBlasThreadBudget:
@@ -229,13 +199,13 @@ class TestProcPoolLifecycle:
                 assert time.monotonic() < deadline, "replacement never came up"
                 time.sleep(0.02)
 
-            # Requests routed at BOTH workers (shard pins index) still
-            # answer, bit-identically, after the respawn.
-            for shard in (0, 1):
-                np.testing.assert_array_equal(
-                    engine.forward(x, shard=shard), oracle(x)
-                )
+            # Two consecutive round-robin dispatches reach BOTH workers,
+            # the replacement included, and answer bit-identically.
+            engine.reset_stats()
+            for _ in range(2):
+                np.testing.assert_array_equal(engine(x), oracle(x))
             stats = engine.stats()
+            assert stats["per_process"] == {"proc-0": 1, "proc-1": 1}
             assert stats["respawns"] == 1
             assert stats["workers_alive"] == 2
         finally:
@@ -275,12 +245,13 @@ class TestProcPoolLifecycle:
         finally:
             engine.close()
 
-    def test_startup_failure_raises_proc_worker_error(self, tmp_path):
-        registry = ModelRegistry(tmp_path / "reg")  # exists, but empty
-        with pytest.raises(ProcWorkerError, match="startup"):
-            ProcPoolEngine(
-                proc_workers=1, registry=str(tmp_path / "reg"), ref="missing"
-            )
+    def test_startup_failure_raises_proc_worker_error(self, stack_model):
+        # The worker's sparse backend rejects the AvgPool2d layer while
+        # compiling, so the pool fails its startup with the worker's error.
+        layers = list(stack_model)
+        unsupported = Sequential(*layers[:4], AvgPool2d(2), *layers[4:])
+        with pytest.raises(ProcWorkerError, match="startup.*AvgPool2d"):
+            ProcPoolEngine(unsupported, proc_workers=1)
 
     def test_session_closes_the_pool_it_built(self, stack_model):
         """from_model-built pools are owned: session close frees the shm.

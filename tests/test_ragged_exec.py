@@ -9,10 +9,10 @@ Contract under test (see ``repro/core/sparse_exec.py`` and ISSUE 4):
   quantum, and bucket-boundary kept-count;
 * threshold-mode plans run the channel kernel with rounded kept counts,
   on conv stacks and ResNets alike;
-* the ``sparse`` backend's bucket probe and FBS :class:`GatedModel`
-  compilation open the dynamic-inference workload on the batched engine;
-* the serving scheduler's kept-count bucketing groups windows without
-  changing any response.
+* FBS :class:`GatedModel` compilation opens the dynamic-inference
+  workload on the batched engine;
+* the serving scheduler fills windows in arrival order, whatever the
+  requests' kept counts, without changing any response.
 """
 
 import numpy as np
@@ -345,26 +345,8 @@ class TestThresholdModePlans:
 
 
 # ----------------------------------------------------------------------
-# Engine backends: adaptive (threshold-mode) and gated models
+# Engine backends: gated models
 # ----------------------------------------------------------------------
-class TestAdaptiveBackend:
-    """The ``sparse`` backend's kept-count scheduling probe."""
-
-    def test_request_bucket_probe(self, rng):
-        stack = threshold_stack()
-        engine = create_engine(stack, backend="sparse")
-        x = rng.normal(size=(1, 3, 12, 12)).astype(np.float32)
-        bucket = engine.request_bucket(x)
-        assert isinstance(bucket, int) and 1 <= bucket <= 16
-        # deterministic per input
-        assert engine.request_bucket(x) == bucket
-
-    def test_probe_none_without_sites(self, rng):
-        stack = build_conv_stack(0.0, width=8, depth=3)
-        engine = create_engine(stack, backend="sparse")
-        assert engine.request_bucket(np.zeros((1, 3, 8, 8), dtype=np.float32)) is None
-
-
 class TestGatedModelCompilation:
     def test_gated_vgg_matches_dense(self, rng):
         from repro.models import vgg16
@@ -407,10 +389,10 @@ class TestGatedModelCompilation:
 
 
 # ----------------------------------------------------------------------
-# Serving: kept-count-aware windows + end-to-end bit identity
+# Serving: arrival-order windows + end-to-end bit identity
 # ----------------------------------------------------------------------
 class TestAdaptiveServing:
-    def test_session_bucketing_matches_per_request(self, rng):
+    def test_session_windows_match_per_request(self, rng):
         from repro.serve import InferenceSession, SessionConfig
 
         stack = threshold_stack()
@@ -422,70 +404,65 @@ class TestAdaptiveServing:
         ]
         reference = [engine(r) for r in requests]
         session = InferenceSession(
+            engine, SessionConfig(max_batch=6, batch_window_ms=30.0, workers=2)
+        )
+        try:
+            outputs = session.infer_many(requests)
+        finally:
+            session.close()
+        for out, ref in zip(outputs, reference):
+            np.testing.assert_array_equal(out, ref)
+
+    def test_mixed_kept_counts_share_one_window(self):
+        from repro.serve import InferenceSession, SessionConfig
+
+        stack = threshold_stack(threshold=0.5)
+        engine = create_engine(
+            stack, backend="sparse", config=PlanConfig(batch_invariant=True)
+        )
+        rng = np.random.default_rng(0)
+        # Their first sites keep 12, 8 and 16 of 16 channels (rounded to
+        # the quantum): windows that split by that count would need three.
+        requests = [
+            rng.normal(size=(1, 3, 12, 12)).astype(np.float32) for _ in range(8)
+        ]
+        reference = [engine(r) for r in requests]
+        session = InferenceSession(
             engine,
-            SessionConfig(max_batch=6, batch_window_ms=30.0, workers=2,
-                          bucket_requests=True),
+            SessionConfig(max_batch=8, batch_window_ms=500.0, bucket_requests=True),
         )
         try:
             outputs = session.infer_many(requests)
             stats = session.stats()
         finally:
             session.close()
+        assert stats["batches"] == 1
         for out, ref in zip(outputs, reference):
             np.testing.assert_array_equal(out, ref)
-        # windows were attributed to kept-count buckets
-        assert sum(stats["bucket_windows"].values()) == stats["batches"]
 
-    def test_bucket_fn_overrides_engine_hint(self):
-        from repro.core.engine import EngineProtocol
-        from repro.serve import InferenceSession, SessionConfig
-
-        class Recording(EngineProtocol):
-            thread_safe = True
-
-            def __init__(self):
-                self.windows = []
-
-            def forward(self, x):
-                self.windows.append(x[:, 0, 0, 0].copy())
-                return x.reshape(x.shape[0], -1).sum(axis=1, keepdims=True)
-
-        engine = Recording()
-        session = InferenceSession(
-            engine,
-            SessionConfig(max_batch=4, batch_window_ms=30.0,
-                          bucket_fn=lambda a: bool(a[0, 0, 0, 0] > 0)),
-        )
-        try:
-            requests = [
-                np.full((1, 1, 2, 2), 1.0 if i % 3 else -1.0, dtype=np.float32)
-                for i in range(12)
-            ]
-            outputs = session.infer_many(requests)
-        finally:
-            session.close()
-        for req, out in zip(requests, outputs):
-            assert np.allclose(out, req.sum())
-        for window in engine.windows:
-            assert (window > 0).all() or (window <= 0).all()
-
-    def test_unbucketed_default_unchanged(self):
+    def test_windows_keep_arrival_order(self):
         from repro.core.engine import EngineProtocol
         from repro.serve import InferenceSession, SessionConfig
 
         class Echo(EngineProtocol):
             thread_safe = True
 
+            def __init__(self):
+                self.windows = []
+
             def forward(self, x):
+                self.windows.append(x[:, 0, 0, 0].tolist())
                 return x.reshape(x.shape[0], -1).sum(axis=1, keepdims=True)
 
-        session = InferenceSession(Echo(), SessionConfig(max_batch=4))
+        engine = Echo()
+        session = InferenceSession(engine, SessionConfig(max_batch=4))
         try:
             outputs = session.infer_many(
                 [np.full((1, 1, 2, 2), float(i), dtype=np.float32) for i in range(9)]
             )
-            stats = session.stats()
         finally:
             session.close()
-        assert stats["bucket_windows"] == {}
         assert [float(o.ravel()[0]) for o in outputs] == [i * 4.0 for i in range(9)]
+        # One worker: the windows, read in order, are the arrival order.
+        assert sum(engine.windows, []) == [float(i) for i in range(9)]
+        assert all(len(window) <= 4 for window in engine.windows)

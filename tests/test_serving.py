@@ -15,7 +15,7 @@ import pytest
 from repro.core.pruning import DynamicPruning, PruningConfig, instrument_model
 from repro.core.sparse_exec import ExecutionPlan, PlanConfig, SparseSequentialExecutor
 from repro.models import ResNet, build_conv_stack, vgg16
-from repro.nn import AvgPool2d, Sequential
+from repro.nn import AvgPool2d, Identity, Sequential
 from repro.serve import (
     ArtifactNotFoundError,
     DenseEngine,
@@ -95,6 +95,23 @@ class TestEngineFactory:
         stack = Sequential(*layers[:4], AvgPool2d(2), *layers[4:])
         for config in (None, PlanConfig(batch_invariant=True)):
             assert isinstance(create_engine(stack, "auto", config=config), DenseEngine)
+
+    def test_auto_compiles_a_stack_holding_an_identity(self):
+        # The plan compiler skips Identity layers, so such a stack serves
+        # on the batch-invariant sparse engine, not the dense fallback.
+        layers = list(build_conv_stack(0.5, width=8, depth=2))
+        stack = Sequential(layers[0], Identity(), *layers[1:])
+        engine = create_engine(stack, "auto", config=PlanConfig(batch_invariant=True))
+        assert isinstance(engine, SparseEngine)
+        requests = make_requests(6, image_size=16, seed=13)
+        reference = [engine(r) for r in requests]
+        with InferenceSession.from_model(
+            stack, session=SessionConfig(max_batch=4, batch_window_ms=50.0)
+        ) as session:
+            assert isinstance(session.engine, SparseEngine)
+            outputs = session.infer_many(requests)
+        for out, ref in zip(outputs, reference):
+            np.testing.assert_array_equal(out, ref)
 
     def test_model_sparsity_reads_active_sites(self):
         assert model_sparsity(build_conv_stack(0.0)) == 0.0
@@ -487,10 +504,36 @@ class TestLegacyDispatch:
             raise AssertionError("a worker process was spawned")
 
         monkeypatch.setattr(ProcPoolEngine, "_spawn", no_spawn)
-        with pytest.raises(TypeError):
-            ProcPoolEngine(stack, proc_workers=1, dispatch_table=None)
-        with pytest.raises(TypeError):
-            ProcPoolEngine(stack, proc_workers=1, inner_backend="sparse")
+        for retired in (
+            {"dispatch_table": None},
+            {"inner_backend": "sparse"},
+            {"registry": "artifacts", "ref": "stack"},
+            {"slots_per_worker": 2},
+            {"respawn_limit": 8},
+            {"start_timeout": 1.0},
+        ):
+            with pytest.raises(TypeError):
+                ProcPoolEngine(stack, proc_workers=1, **retired)
+
+    def test_retired_scheduling_options(self):
+        stack = build_conv_stack(0.5, width=8, depth=2, seed=0)
+        requests = make_requests(4, image_size=16, seed=14)
+        served = []
+        # bucket_requests is accepted and ignored: it serves like the default.
+        for config in (
+            SessionConfig(max_batch=4),
+            SessionConfig(max_batch=4, bucket_requests=True),
+        ):
+            with InferenceSession.from_model(stack, session=config) as session:
+                served.append((session.infer_many(requests), set(session.stats())))
+        (default, default_keys), (bucketed, bucketed_keys) = served
+        assert bucketed_keys == default_keys
+        assert "bucket_windows" not in default_keys
+        for out, ref in zip(bucketed, default):
+            np.testing.assert_array_equal(out, ref)
+        for retired in ({"bucket_fn": lambda a: 0}, {"shard_by_bucket": True}):
+            with pytest.raises(TypeError):
+                SessionConfig(**retired)
 
 
 # ----------------------------------------------------------------------
@@ -876,30 +919,6 @@ class _SlowEngine:
         pass
 
 
-class _ShardRecordingEngine:
-    """Engine that records the shard hint each forward call carried."""
-
-    backend = "recorder"
-    thread_safe = True
-    shards_by_bucket = True
-
-    def __init__(self):
-        self.shards = []
-
-    def forward(self, x, shard=None):
-        self.shards.append(shard)
-        return np.zeros((x.shape[0], 4), dtype=np.float32)
-
-    def __call__(self, x):
-        return self.forward(x)
-
-    def stats(self):
-        return {"backend": self.backend}
-
-    def reset_stats(self):
-        pass
-
-
 def _stopped_session(config):
     """A session whose worker has exited, for driving _collect by hand."""
     engine = create_engine(
@@ -915,52 +934,27 @@ def _stopped_session(config):
 
 class TestCollectorDeadline:
     def test_expired_deadline_stops_queue_draining(self):
-        """A wrong-bucket arrival after the deadline must not start a hunt.
+        """Past the deadline an overflowing request is carried, not a hunt.
 
-        Before the fix, the expired-deadline (get_nowait) path kept
-        draining on every wrong-bucket item: one worker could pull the
-        entire queue into its private stash while siblings starved.
+        The collector takes at most the one request that overflows the
+        window (it seeds the worker's next window); every other queued
+        request stays on the shared queue for sibling workers.
         """
-        from collections import deque
-
         from repro.serve.session import PendingResult, _Request
 
         session = _stopped_session(
             SessionConfig(max_batch=2, batch_window_ms=0.0, workers=1)
         )
-        arr = make_requests(1, image_size=8)[0]
+        one = make_requests(1, image_size=8)[0]
+        two = np.concatenate([one, one])
         for _ in range(6):
-            session._queue.put(_Request(arr, PendingResult(), bucket="other"))
-        stash = deque()
-        first = _Request(arr, PendingResult(), bucket="mine")
-        batch, saw_shutdown = session._collect(first, stash)
+            session._queue.put(_Request(two, PendingResult()))
+        first = _Request(one, PendingResult())
+        batch, carry, saw_shutdown = session._collect(first)
         assert batch == [first]
+        assert carry is not None and carry.array.shape[0] == 2
         assert not saw_shutdown
-        # Exactly one item may be inspected (and deferred) past the
-        # deadline; the rest must stay on the shared queue for siblings.
-        assert len(stash) == 1
         assert session._queue.qsize() == 5
-
-    def test_before_deadline_hunt_still_fills_the_bucket(self):
-        """Within the window, wrong-bucket items defer and the hunt goes on."""
-        from collections import deque
-
-        from repro.serve.session import PendingResult, _Request
-
-        session = _stopped_session(
-            SessionConfig(max_batch=2, batch_window_ms=500.0, workers=1)
-        )
-        arr = make_requests(1, image_size=8)[0]
-        wrong_a = _Request(arr, PendingResult(), bucket="other")
-        wrong_b = _Request(arr, PendingResult(), bucket="other")
-        right = _Request(arr, PendingResult(), bucket="mine")
-        for request in (wrong_a, wrong_b, right):
-            session._queue.put(request)
-        stash = deque()
-        first = _Request(arr, PendingResult(), bucket="mine")
-        batch, _ = session._collect(first, stash)
-        assert batch == [first, right]
-        assert list(stash) == [wrong_a, wrong_b]
 
 
 class TestResultMemoryIndependence:
@@ -1027,37 +1021,6 @@ class TestCloseDeadline:
         session.close()
         for worker in session._workers:
             assert not worker.is_alive()
-
-
-class TestBucketShardDispatch:
-    def test_window_bucket_forwarded_as_shard_hint(self):
-        engine = _ShardRecordingEngine()
-        with InferenceSession(
-            engine,
-            SessionConfig(
-                max_batch=2,
-                batch_window_ms=20.0,
-                workers=1,
-                bucket_fn=lambda a: 7,
-            ),
-        ) as session:
-            session.infer(make_requests(1, image_size=8)[0])
-        assert engine.shards == [7]
-
-    def test_shard_hint_suppressed_when_disabled(self):
-        engine = _ShardRecordingEngine()
-        with InferenceSession(
-            engine,
-            SessionConfig(
-                max_batch=2,
-                batch_window_ms=20.0,
-                workers=1,
-                bucket_fn=lambda a: 7,
-                shard_by_bucket=False,
-            ),
-        ) as session:
-            session.infer(make_requests(1, image_size=8)[0])
-        assert engine.shards == [None]
 
 
 class TestServeLoopHardening:

@@ -13,17 +13,15 @@ Contract under test (see ``_ragged_spatial_conv`` in
 * :func:`repro.core.sparse_exec.output_keep_grid` maps input-column masks
   onto full output grids even when heavy padding makes the strided view
   come up short;
-* the serving stack (threaded sessions, the process pool, bucketed
-  windows) carries spatial threshold masks end-to-end without changing a
-  single response, and surfaces the ``ragged_spatial`` dispatch counter
-  through session telemetry;
-* fixed top-k column sites dispatch the bucketed kernel, and the sparse
-  engine's request bucket pairs the channel bucket with a pooled
-  kept-position bucket;
+* the serving stack (threaded sessions, the process pool) carries
+  spatial threshold masks end-to-end without changing a single response,
+  and surfaces the ``ragged_spatial`` dispatch counter through session
+  telemetry;
+* fixed top-k column sites dispatch the bucketed kernel;
 * ``FBSGate.mean_spatial_keep_pooled`` and
   ``DynamicPruning.mean_spatial_keep_pooled`` both go through
   :func:`repro.core.pruning.pooled_keep_fraction` — the FLOPs accounting
-  and the scheduler can never diverge on pooling semantics.
+  of the two methods can never diverge on pooling semantics.
 """
 
 import numpy as np
@@ -31,7 +29,6 @@ import pytest
 
 from repro.baselines.dynamic import FBSGate
 from repro.core.engine import create_engine
-from repro.core.masks import quantize_kept_count
 from repro.core.pruning import DynamicPruning, pooled_keep_fraction
 from repro.core.sparse_exec import PlanConfig, output_keep_grid, sparse_conv2d
 from repro.models import build_conv_stack
@@ -295,9 +292,7 @@ class TestSpatialServing:
         ]
         reference = [engine(r) for r in requests]
         session = InferenceSession(
-            engine,
-            SessionConfig(max_batch=4, batch_window_ms=20.0, workers=2,
-                          bucket_requests=True),
+            engine, SessionConfig(max_batch=4, batch_window_ms=20.0, workers=2)
         )
         try:
             outputs = session.infer_many(requests)
@@ -306,11 +301,8 @@ class TestSpatialServing:
             session.close()
         for out, ref in zip(outputs, reference):
             np.testing.assert_array_equal(out, ref)
-        # satellite: per-strategy dispatch counters surface through the
-        # session, and bucketed windows key on the stringified tuple.
+        # Per-strategy dispatch counters surface through the session.
         assert stats["engine"]["dispatch"].get("ragged_spatial", 0) > 0
-        assert sum(stats["bucket_windows"].values()) == stats["batches"]
-        assert all(key.startswith("(") for key in stats["bucket_windows"])
 
     def test_procpool_session_spatial_masks(self, rng):
         stack, _ = _spatial_threshold_stack(0.5, 12, width=12, depth=2, seed=1)
@@ -324,9 +316,7 @@ class TestSpatialServing:
             ]
             reference = [pool(r) for r in requests]
             with InferenceSession(
-                pool,
-                SessionConfig(max_batch=4, batch_window_ms=20.0, workers=2,
-                              bucket_requests=True),
+                pool, SessionConfig(max_batch=4, batch_window_ms=20.0, workers=2)
             ) as session:
                 outputs = session.infer_many(requests)
             for out, ref in zip(outputs, reference):
@@ -347,42 +337,6 @@ class TestTopkColumns:
         )
         engine(rng.normal(size=(4, 3, 12, 12)).astype(np.float32))
         assert engine.stats()["dispatch"]["ragged_spatial"] > 0
-
-
-# ----------------------------------------------------------------------
-# Request buckets: pooled kept-position pairing
-# ----------------------------------------------------------------------
-class TestRequestBucket:
-    def test_spatial_stack_returns_tuple_bucket(self, rng):
-        stack, pruners = _spatial_threshold_stack(0.5, 12, width=12, depth=2, seed=0)
-        engine = create_engine(stack, backend="sparse")
-        x = rng.normal(size=(1, 3, 12, 12)).astype(np.float32)
-        bucket = engine.request_bucket(x)
-        assert isinstance(bucket, tuple) and len(bucket) == 2
-        assert bucket[0] is None  # channel pruning is off on this stack
-        # the probe left its mask on the first site: the spatial bucket is
-        # the pooled kept-position count quantized to eighths of the grid.
-        probe_mask = pruners[0].last_spatial_mask
-        assert probe_mask is not None
-        total = int(probe_mask[0].size)
-        kept = int(round(
-            pooled_keep_fraction(probe_mask, pruners[0].pool_between) * total
-        ))
-        expected = quantize_kept_count(kept, total, max(1, -(-total // 8)))
-        assert bucket[1] == expected
-        assert engine.request_bucket(x) == bucket  # deterministic
-
-    def test_channel_only_stack_keeps_int_bucket(self, rng):
-        stack = build_conv_stack(0.5, width=12, depth=2, seed=0)
-        for module in stack.modules():
-            if isinstance(module, DynamicPruning):
-                module.mask_mode = "threshold"
-                module.threshold = 0.05
-        engine = create_engine(stack, backend="sparse")
-        bucket = engine.request_bucket(
-            rng.normal(size=(1, 3, 12, 12)).astype(np.float32)
-        )
-        assert isinstance(bucket, int)
 
 
 # ----------------------------------------------------------------------
