@@ -20,7 +20,6 @@ from .engine import (
     available_backends,
     create_engine,
     model_sparsity,
-    register_backend,
 )
 from .flops import DynamicFlopsReport, FlopsReport, LayerFlops, count_flops, dynamic_flops
 from .masks import (
@@ -43,14 +42,7 @@ from .pruning import (
     pooled_keep_fraction,
 )
 from .sensitivity import SensitivityResult, block_sensitivity, suggest_upper_bounds
-from .sparse_exec import (
-    ExecutionPlan,
-    PlanConfig,
-    ResNetPlan,
-    SparseResNetExecutor,
-    SparseSequentialExecutor,
-    sparse_conv2d,
-)
+from .sparse_exec import ExecutionPlan, PlanConfig, sparse_conv2d
 from .training import EpochStats, evaluate, fit, train_epoch
 from .ttd import RatioAscentSchedule, TargetedDropout, TTDStageResult, TTDTrainer
 
@@ -93,14 +85,10 @@ __all__ = [
     "sparse_conv2d",
     "PlanConfig",
     "ExecutionPlan",
-    "ResNetPlan",
-    "SparseSequentialExecutor",
-    "SparseResNetExecutor",
     "EngineProtocol",
     "DenseEngine",
     "SparseEngine",
     "create_engine",
-    "register_backend",
     "available_backends",
     "model_sparsity",
     "greedy_ratio_search",

@@ -1,19 +1,17 @@
 """Pluggable inference backends behind one protocol and factory.
 
-PR 1 built the batched sparse engine but callers still constructed the
-executors by hand (``SparseSequentialExecutor`` for conv stacks,
-``SparseResNetExecutor`` for ResNets, a ``Tensor`` round trip for the dense
-reference).  This module extracts the common surface every deployment
-caller needs — :class:`EngineProtocol` — and registers the concrete
-backends behind :func:`create_engine`:
+Every deployment caller needs the same surface — :class:`EngineProtocol` —
+whatever runs underneath; :func:`create_engine` builds one of four
+backends behind it:
 
 ``dense``
     The model's own masked-but-unskipped forward (the paper's PyTorch-style
     semantics).  The numerical reference; no plan, no cache.
 ``sparse``
-    The plan-compiled mask-skipping executors from
-    :mod:`repro.core.sparse_exec`, dispatched by model family.  Each
-    pruning site's mask mode picks its kernels' grouping: threshold-mode
+    One mask-skipping :class:`~repro.core.sparse_exec.ExecutionPlan`
+    compiled from the model, whatever its family: ``Sequential`` stacks,
+    VGG-style models and ResNets all become one op list.  Each pruning
+    site's mask mode picks its kernels' grouping: threshold-mode
     (adaptive) sites round kept counts up to a quantum, top-k sites group
     by exact count.
 ``auto``
@@ -34,38 +32,28 @@ GatedModel`) compile like instrumented models: the gates become plan ops
 that arm the following convolution, so the closest prior dynamic method
 runs on the same batched engine as AntiDote masks.
 
-New backends register with :func:`register_backend`; the serving layer
-(:mod:`repro.serve`) builds every session through this factory, so an
-artifact's metadata can name its backend as data.
+The serving layer (:mod:`repro.serve`) builds every session through this
+factory, so an artifact's metadata can name its backend as data.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
-from ..models.base import PrunableModel
-from ..models.resnet import ResNet
-from ..nn import Module, Sequential
+from ..nn import Module
 from .pruning import DynamicPruning, InstrumentedModel
-from .sparse_exec import (
-    PlanConfig,
-    SparseResNetExecutor,
-    SparseSequentialExecutor,
-    UnsupportedGraphError,
-)
+from .sparse_exec import ExecutionPlan, PlanConfig, UnsupportedGraphError
 
 __all__ = [
     "EngineProtocol",
     "DenseEngine",
     "SparseEngine",
     "available_backends",
-    "register_backend",
     "create_engine",
     "iter_pruners",
     "model_sparsity",
-    "as_layer_stack",
 ]
 
 
@@ -129,28 +117,6 @@ def _unwrap(model: object) -> Module:
     if isinstance(model, Module):
         return model
     raise TypeError(f"cannot build an engine around {type(model).__name__}")
-
-
-def as_layer_stack(model: Module) -> Sequential:
-    """View a model as the flat ``Sequential`` the plan compiler accepts.
-
-    ``Sequential`` models pass through; VGG-style :class:`PrunableModel`
-    instances with a ``features``/``pool``/``classifier`` layout are
-    re-assembled into one stack (instrumentation wraps sites *inside*
-    ``features``, so the pruners ride along).  ResNets are topology-bearing
-    and have their own plan — they never go through here.
-    """
-    if isinstance(model, Sequential):
-        return model
-    features = getattr(model, "features", None)
-    pool = getattr(model, "pool", None)
-    classifier = getattr(model, "classifier", None)
-    if isinstance(features, Sequential) and pool is not None and classifier is not None:
-        return Sequential(features, pool, classifier)
-    raise UnsupportedGraphError(
-        f"{type(model).__name__} has no Sequential layer-stack view; "
-        "pass a Sequential, a VGG-style model, or a ResNet"
-    )
 
 
 def iter_pruners(model: Module) -> Iterator[DynamicPruning]:
@@ -220,12 +186,12 @@ class DenseEngine(EngineProtocol):
 
 
 class SparseEngine(EngineProtocol):
-    """Plan-compiled mask-skipping execution (the PR 1 engine, wrapped).
+    """Plan-compiled mask-skipping execution.
 
-    Dispatches by model family: ResNets compile a
-    :class:`~repro.core.sparse_exec.ResNetPlan`, everything else is viewed
-    as a flat layer stack and compiled into an
-    :class:`~repro.core.sparse_exec.ExecutionPlan`.
+    Compiles the model — a ``Sequential`` stack, a VGG-style model or a
+    ResNet — into one :class:`~repro.core.sparse_exec.ExecutionPlan` at
+    construction; ``plan`` is where a :class:`repro.obs.PlanProfiler`
+    attaches.
 
     Thread-safe: the compiled plan's weights are read-only after
     compilation and scratch lives in per-thread workspace arenas, so N
@@ -238,16 +204,11 @@ class SparseEngine(EngineProtocol):
     thread_safe = True
 
     def __init__(self, model: object, config: Optional[PlanConfig] = None):
-        inner = _unwrap(model)
-        if isinstance(inner, ResNet):
-            self._executor = SparseResNetExecutor(inner, config)
-        else:
-            self._executor = SparseSequentialExecutor(as_layer_stack(inner), config)
-        self.model = inner
-        self.plan = self._executor.plan
+        self.model = _unwrap(model)
+        self.plan = ExecutionPlan.compile([self.model], config)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self._executor(np.asarray(x, dtype=np.float32))
+        return self.plan.run(np.asarray(x, dtype=np.float32))
 
     def stats(self) -> Dict[str, object]:
         stats: Dict[str, object] = {
@@ -258,7 +219,7 @@ class SparseEngine(EngineProtocol):
             "cache": {"hits": 0, "misses": 0, "entries": 0},
             "workspace": self.plan.arena_stats(),
         }
-        profiler = getattr(self.plan, "profiler", None)
+        profiler = self.plan.profiler
         if profiler is not None:
             # Per-geometry wall-time/bytes rows (opt-in profiling) travel
             # inside stats() so the procpool's ("stats",) round trip ships
@@ -270,32 +231,12 @@ class SparseEngine(EngineProtocol):
         self.plan.reset_stats()
 
     def describe(self) -> str:
-        if isinstance(self.model, ResNet):
-            return f"SparseEngine(ResNetPlan, {len(self.plan.blocks)} blocks)"
         return "SparseEngine(ExecutionPlan)\n" + self.plan.describe()
 
 
 # ----------------------------------------------------------------------
 # Factory
 # ----------------------------------------------------------------------
-_BACKENDS: Dict[str, Callable[..., EngineProtocol]] = {}
-
-
-def register_backend(name: str, builder: Callable[..., EngineProtocol]) -> None:
-    """Register an engine builder under ``name`` (overwrites are an error).
-
-    ``builder(model, config=PlanConfig, **kwargs)`` must return an object
-    honoring :class:`EngineProtocol`.
-    """
-    if name in _BACKENDS:
-        raise ValueError(f"engine backend {name!r} is already registered")
-    _BACKENDS[name] = builder
-
-
-def available_backends() -> List[str]:
-    return sorted(_BACKENDS)
-
-
 #: Smallest configured prune fraction at which ``auto`` compiles a plan for
 #: a direct (not batch-invariant) caller; below it the gather machinery
 #: cannot pay for itself.
@@ -337,10 +278,16 @@ def _build_procpool(
     return ProcPoolEngine(model, config=config, **kwargs)
 
 
-register_backend("dense", DenseEngine)
-register_backend("sparse", SparseEngine)
-register_backend("auto", _build_auto)
-register_backend("procpool", _build_procpool)
+_BACKENDS: Dict[str, Callable[..., EngineProtocol]] = {
+    "dense": DenseEngine,
+    "sparse": SparseEngine,
+    "auto": _build_auto,
+    "procpool": _build_procpool,
+}
+
+
+def available_backends() -> List[str]:
+    return sorted(_BACKENDS)
 
 
 def create_engine(
@@ -349,7 +296,7 @@ def create_engine(
     config: Optional[PlanConfig] = None,
     **kwargs: object,
 ) -> EngineProtocol:
-    """Build an inference engine for ``model`` from the backend registry.
+    """Build an inference engine for ``model`` on the named backend.
 
     Parameters
     ----------
@@ -359,7 +306,7 @@ def create_engine(
         them (the handle is unwrapped; its pruners stay in the graph).
     backend:
         One of :func:`available_backends` — ``"auto"``, ``"dense"``,
-        ``"procpool"`` or ``"sparse"`` unless extended.
+        ``"procpool"`` or ``"sparse"``.
     config:
         :class:`~repro.core.sparse_exec.PlanConfig` compilation knobs,
         honored by plan-backed engines.

@@ -31,7 +31,7 @@ engine that realizes those savings on CPU, at batch scale:
   semantics).  The per-sample gather + GEMM loop it replaced is the
   tests' oracle (``tests/oracles.py``).
 * **Plan compilation** (:class:`ExecutionPlan`): the layer graph is walked
-  once per model at executor construction — Conv→BN(→ReLU) chains are fused
+  once per model at engine construction — Conv→BN(→ReLU) chains are fused
   into a single op (BN folded into the conv weights at eval time, which
   are then also stored channel-major for the channel kernel), output
   shapes are memoized per input geometry, and every convolution dispatches
@@ -66,9 +66,10 @@ which is exactly the deployment setting the paper targets.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -96,9 +97,6 @@ __all__ = [
     "sparse_conv2d",
     "PlanConfig",
     "ExecutionPlan",
-    "ResNetPlan",
-    "SparseSequentialExecutor",
-    "SparseResNetExecutor",
     "output_keep_grid",
     "UnsupportedGraphError",
 ]
@@ -517,8 +515,8 @@ def sparse_conv2d(
         paper's skip semantics).  With ``stride > 1`` the mask is subsampled
         to the output grid.  For kept positions to agree exactly with the
         dense masked convolution the input must already have its dropped
-        columns zeroed (receptive fields overlap columns; the executors
-        apply the mask before calling).  Every spatial mask runs the
+        columns zeroed (receptive fields overlap columns; a plan's pruning
+        ops apply the mask before the conv runs).  Every spatial mask runs the
         kept-position bucketed kernel (:func:`_ragged_spatial_conv`).
     arena:
         Optional :class:`~repro.core.workspace.WorkspaceArena` supplying
@@ -567,7 +565,7 @@ def sparse_conv2d(
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class PlanConfig:
-    """Knobs for :class:`ExecutionPlan` / :class:`ResNetPlan` compilation.
+    """Knobs for :class:`ExecutionPlan` compilation.
 
     Attributes
     ----------
@@ -943,25 +941,116 @@ class _GateOp:
         return x * gated[:, :, None, None]
 
 
+class _ResidualOp:
+    """A :class:`~repro.models.resnet.BasicBlock`: ``relu(body(x) + shortcut(x))``.
+
+    ``body`` is the block's compiled ``conv1, bn1, relu1, conv2, bn2`` and
+    ``shortcut`` its compiled projection; an identity shortcut compiles
+    to no ops.  Each list runs through the plan's op loop with a fresh
+    mask state, so a pruning site inside ``relu1`` arms only the block's
+    second convolution and the skip path is never pruned — the paper
+    prunes only these "odd layers" (Sec. V-B b).
+    """
+
+    __slots__ = ("body", "shortcut")
+
+    def __init__(self, body: List[object], shortcut: List[object]):
+        self.body = body
+        self.shortcut = shortcut
+
+    def run(self, x: np.ndarray, state: _MaskState, plan: "ExecutionPlan") -> np.ndarray:
+        out = plan.run_ops(self.body, x)
+        return np.maximum(out + plan.run_ops(self.shortcut, x), 0.0)
+
+
 def _flatten(layers: Iterable[Module]) -> List[Module]:
+    """The layers a plan compiles, with every model container opened up.
+
+    A ``Sequential`` contributes its layers, a :class:`ResNet` its stem,
+    groups, pool and classifier in ``forward`` order, and a VGG-style
+    model its ``features`` stack, ``pool`` and ``classifier``.  Anything
+    else, a :class:`BasicBlock` included, stays one layer for
+    :func:`_compile_ops`.
+    """
     flat: List[Module] = []
     for layer in layers:
         if isinstance(layer, Sequential):
             flat.extend(_flatten(layer))
+        elif isinstance(layer, ResNet):
+            flat.extend(_flatten([
+                layer.conv1, layer.bn1, layer.relu,
+                layer.group1, layer.group2, layer.group3, layer.pool, layer.fc,
+            ]))
         else:
-            flat.append(layer)
+            view = [getattr(layer, name, None) for name in ("features", "pool", "classifier")]
+            if isinstance(view[0], Sequential) and all(v is not None for v in view):
+                flat.extend(_flatten(view))
+            else:
+                flat.append(layer)
     return flat
 
 
-class ExecutionPlan:
-    """A compiled, fused op sequence for a Sequential conv stack.
+def _compile_ops(flat: List[Module], keys: Iterator[int]) -> List[object]:
+    """Compile a flattened layer list into ops, numbering convs from ``keys``.
 
-    Compilation happens once per model (executor construction): the layer
-    list is flattened, eval-mode Conv→BN(→ReLU) chains are folded into
-    single ops (each keeping its fused weight in NCHW and channel-major
-    layout), and per-geometry output shapes are memoized.  ``run``
-    threads a :class:`_MaskState` through the ops so each pruning site arms
-    the convolution that consumes its masks.
+    Raises :class:`UnsupportedGraphError` for a layer it has no op for.
+    """
+    # Imported here, not at module top: baselines.dynamic itself imports
+    # from repro.core, and a module-level import would tie the two
+    # packages' initialization order together.
+    from ..baselines.dynamic import FBSGate
+
+    ops: List[object] = []
+    i = 0
+    while i < len(flat):
+        layer = flat[i]
+        i += 1
+        if isinstance(layer, Conv2d):
+            bn: Optional[BatchNorm2d] = None
+            relu = False
+            if i < len(flat) and isinstance(flat[i], BatchNorm2d):
+                bn = flat[i]
+                i += 1
+            if i < len(flat) and isinstance(flat[i], ReLU):
+                relu = True
+                i += 1
+            ops.append(_ConvOp.compile(layer, bn, relu, next(keys)))
+        elif isinstance(layer, BasicBlock):
+            body = _flatten([layer.conv1, layer.bn1, layer.relu1, layer.conv2, layer.bn2])
+            ops.append(_ResidualOp(
+                _compile_ops(body, keys), _compile_ops(_flatten([layer.shortcut]), keys)
+            ))
+        elif isinstance(layer, BatchNorm2d):
+            ops.append(_BNOp(layer))
+        elif isinstance(layer, ReLU):
+            ops.append(_ReLUOp())
+        elif isinstance(layer, MaxPool2d):
+            ops.append(_MaxPoolOp(layer))
+        elif isinstance(layer, GlobalAvgPool2d):
+            ops.append(_GlobalAvgPoolOp())
+        elif isinstance(layer, Linear):
+            ops.append(_LinearOp(layer))
+        elif isinstance(layer, DynamicPruning):
+            ops.append(_PruneOp(layer))
+        elif isinstance(layer, FBSGate):
+            ops.append(_GateOp(layer))
+        elif not isinstance(layer, Identity):
+            raise UnsupportedGraphError(
+                f"ExecutionPlan cannot compile {type(layer).__name__}"
+            )
+    return ops
+
+
+class ExecutionPlan:
+    """A compiled, fused op list for a layer stack, VGG-style model or ResNet.
+
+    Compilation happens once per model (engine construction): the layers
+    are flattened (:func:`_flatten`), eval-mode Conv→BN(→ReLU) chains are
+    folded into single ops (each keeping its fused weight in NCHW and
+    channel-major layout), each residual block becomes one
+    :class:`_ResidualOp`, and per-geometry output shapes are memoized.
+    ``run`` threads a :class:`_MaskState` through the ops so each pruning
+    site arms the convolution that consumes its masks.
     """
 
     #: Dispatch-counter labels: the kernel each convolution call ran.
@@ -1005,62 +1094,15 @@ class ExecutionPlan:
         layers: Sequence[Module],
         config: Optional[PlanConfig] = None,
     ) -> "ExecutionPlan":
-        # Imported here, not at module top: baselines.dynamic itself
-        # imports from repro.core, and a module-level import would tie the
-        # two packages' initialization order together.
-        from ..baselines.dynamic import FBSGate
-
-        flat = _flatten(layers)
-        ops: List[object] = []
-        i = 0
-        key = 0
-        while i < len(flat):
-            layer = flat[i]
-            if isinstance(layer, Conv2d):
-                bn: Optional[BatchNorm2d] = None
-                relu = False
-                j = i + 1
-                if j < len(flat) and isinstance(flat[j], BatchNorm2d):
-                    bn = flat[j]
-                    j += 1
-                if j < len(flat) and isinstance(flat[j], ReLU):
-                    relu = True
-                    j += 1
-                ops.append(_ConvOp.compile(layer, bn, relu, key))
-                key += 1
-                i = j
-            elif isinstance(layer, BatchNorm2d):
-                ops.append(_BNOp(layer))
-                i += 1
-            elif isinstance(layer, ReLU):
-                ops.append(_ReLUOp())
-                i += 1
-            elif isinstance(layer, MaxPool2d):
-                ops.append(_MaxPoolOp(layer))
-                i += 1
-            elif isinstance(layer, GlobalAvgPool2d):
-                ops.append(_GlobalAvgPoolOp())
-                i += 1
-            elif isinstance(layer, Linear):
-                ops.append(_LinearOp(layer))
-                i += 1
-            elif isinstance(layer, DynamicPruning):
-                ops.append(_PruneOp(layer))
-                i += 1
-            elif isinstance(layer, FBSGate):
-                ops.append(_GateOp(layer))
-                i += 1
-            elif isinstance(layer, Identity):
-                i += 1
-            else:
-                raise UnsupportedGraphError(
-                    f"ExecutionPlan cannot compile {type(layer).__name__}"
-                )
-        return cls(ops, config or PlanConfig())
+        return cls(_compile_ops(_flatten(layers), itertools.count()), config or PlanConfig())
 
     def run(self, x: np.ndarray) -> np.ndarray:
+        return self.run_ops(self.ops, x)
+
+    def run_ops(self, ops: List[object], x: np.ndarray) -> np.ndarray:
+        """The op loop: run ``ops`` over ``x`` with a fresh mask state."""
         state = _MaskState()
-        for op in self.ops:
+        for op in ops:
             x = op.run(x, state, self)
         return x
 
@@ -1072,134 +1114,3 @@ class ExecutionPlan:
     def describe(self) -> str:
         """Human-readable op listing (for docs and debugging)."""
         return "\n".join(f"{i:>3}: {type(op).__name__}" for i, op in enumerate(self.ops))
-
-
-# ----------------------------------------------------------------------
-# Executors
-# ----------------------------------------------------------------------
-class SparseSequentialExecutor:
-    """Mask-skipping batched inference over a Sequential conv stack.
-
-    Interprets a (possibly instrumented) ``Sequential`` of ``Conv2d``,
-    ``BatchNorm2d``, ``ReLU``, ``MaxPool2d``, ``GlobalAvgPool2d``,
-    ``Linear``, ``Identity``, ``DynamicPruning`` and FBS gate layers by
-    compiling it into an :class:`ExecutionPlan` once at construction; the
-    compiler raises :class:`UnsupportedGraphError` for any other layer.
-    When a ``DynamicPruning``
-    layer fires, its masks are computed exactly as in the dense path and
-    the next convolution runs sparsely: only each sample's kept channels
-    and kept columns' output positions are computed.
-
-    This is the deployment interpreter for the paper's Fig. 1 — the dense
-    instrumented model is the training/verification vehicle, this executor
-    is what "the computation related can be thus skipped for efficiency"
-    means operationally.
-    """
-
-    def __init__(self, layers: Sequential, config: Optional[PlanConfig] = None):
-        self.layers: List[Module] = _flatten(layers)
-        self.plan = ExecutionPlan.compile(self.layers, config)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run inference, skipping masked work.  Input/output are arrays."""
-        return self.plan.run(x)
-
-    __call__ = forward
-
-
-class _BlockPlan:
-    """Compiled ops for one :class:`BasicBlock` (BatchNorms fused at eval time)."""
-
-    __slots__ = ("conv1", "prune", "conv2", "shortcut")
-
-    def __init__(
-        self,
-        conv1: _ConvOp,
-        prune: Optional[object],  # _PruneOp or _GateOp
-        conv2: _ConvOp,
-        shortcut: Optional[_ConvOp],
-    ):
-        self.conv1 = conv1
-        self.prune = prune
-        self.conv2 = conv2
-        self.shortcut = shortcut
-
-
-class ResNetPlan(ExecutionPlan):
-    """Compiled plan for the paper's CIFAR ResNet (stem/blocks/classifier).
-
-    Shares the op primitives and dispatch policy with
-    :class:`ExecutionPlan`; the residual topology is encoded structurally
-    instead of as a flat op list.
-    """
-
-    def __init__(self, model: ResNet, config: Optional[PlanConfig] = None):
-        super().__init__([], config or PlanConfig())
-        key = 0
-        self.stem = _ConvOp.compile(model.conv1, model.bn1, True, key)
-        key += 1
-        self.blocks: List[_BlockPlan] = []
-        for group in (model.group1, model.group2, model.group3):
-            for block in group:
-                self.blocks.append(self._compile_block(block, key))
-                key += 3
-        self.fc = _LinearOp(model.fc)
-
-    def _compile_block(self, block: BasicBlock, key: int) -> _BlockPlan:
-        from ..baselines.dynamic import FBSGate
-
-        conv1 = _ConvOp.compile(block.conv1, block.bn1, True, key)
-        conv2 = _ConvOp.compile(block.conv2, block.bn2, False, key + 1)
-        prune: Optional[object] = None
-        site = block.relu1
-        if isinstance(site, Sequential):
-            for sub in site:
-                if isinstance(sub, DynamicPruning):
-                    prune = _PruneOp(sub)
-                elif isinstance(sub, FBSGate):
-                    prune = _GateOp(sub)
-        shortcut: Optional[_ConvOp] = None
-        if not isinstance(block.shortcut, Identity):
-            projection, norm = list(block.shortcut)
-            shortcut = _ConvOp.compile(projection, norm, False, key + 2)
-        return _BlockPlan(conv1, prune, conv2, shortcut)
-
-    # ------------------------------------------------------------------
-    def _run_block(self, plan: _BlockPlan, x: np.ndarray) -> np.ndarray:
-        state = _MaskState()
-        out = plan.conv1.run(x, state, self)
-        if plan.prune is not None:
-            out = plan.prune.run(out, state, self)
-        out = plan.conv2.run(out, state, self)
-        shortcut = x if plan.shortcut is None else plan.shortcut.run(x, _MaskState(), self)
-        return np.maximum(out + shortcut, 0.0)
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        state = _MaskState()
-        out = self.stem.run(x, state, self)
-        for block_plan in self.blocks:
-            out = self._run_block(block_plan, out)
-        out = out.mean(axis=(2, 3))
-        return self.fc.run(out, state, self)
-
-
-class SparseResNetExecutor:
-    """Mask-skipping batched inference over a (possibly instrumented) ResNet.
-
-    Compiles the paper's ResNet structure — stem → three groups of
-    :class:`~repro.models.resnet.BasicBlock` → global pool → classifier —
-    into a :class:`ResNetPlan` once at construction.  When a block's
-    ``relu1`` site carries a :class:`DynamicPruning` layer (the paper
-    prunes only those "odd layers", Sec. V-B b), the block's second
-    convolution runs sparsely over the kept channels/columns; the skip
-    connection is untouched, exactly as the paper requires.
-    """
-
-    def __init__(self, model: ResNet, config: Optional[PlanConfig] = None):
-        self.model = model
-        self.plan = ResNetPlan(model, config)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.plan.run(x)
-
-    __call__ = forward

@@ -76,6 +76,7 @@ class ResNet(PrunableModel):
         rng = np.random.default_rng(seed)
         widths = [max(4, int(round(c * width_multiplier))) for c in self.GROUP_CHANNELS]
         self.blocks_per_group = blocks_per_group
+        self.width_multiplier = width_multiplier
         self.depth = 6 * blocks_per_group + 2
         self.num_classes = num_classes
 

@@ -23,7 +23,6 @@ from .tensor import Tensor, as_tensor, is_grad_enabled
 __all__ = [
     "im2col",
     "im2col_t",
-    "im2col_loop",
     "gather_patches_nhwc",
     "default_tile_rows",
     "col2im",
@@ -192,14 +191,7 @@ def _check_out(out: np.ndarray, shape: Tuple[int, ...], dtype: np.dtype) -> np.n
     return out
 
 
-def im2col(
-    x: np.ndarray,
-    kernel: int,
-    stride: int,
-    padding: int,
-    out: Optional[np.ndarray] = None,
-    tile_rows: Optional[int] = None,
-) -> np.ndarray:
+def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     """Unfold NCHW image batches into a patch matrix.
 
     Returns an array of shape ``(N * out_h * out_w, C * kernel * kernel)``
@@ -211,35 +203,20 @@ def im2col(
     tensor and no transpose copy.  With ``padding > 0`` the gather runs
     tap-by-tap against the *unpadded* input, zero-filling the halo bands
     in the destination (:func:`_gather_taps`) — no padded copy of the
-    input is ever materialized.  ``out`` lets callers (the sparse
-    engine's workspace arena) provide the destination buffer, making the
-    whole operation allocation-free; ``tile_rows`` blocks the gather over
-    output-row tiles (see :func:`default_tile_rows`) so large feature maps
-    stream through L2 instead of thrashing it.  Neither tiling nor the
-    tap-wise sweep changes the result — they only reorder the copy.
+    input is ever materialized.  The tap-wise sweep does not change the
+    result; it only reorders the copy.
     """
     n, c = x.shape[:2]
     out_h, out_w = conv_output_shape(x.shape[2], x.shape[3], kernel, stride, padding)
-    shape = (n * out_h * out_w, c * kernel * kernel)
-    if out is None:
-        out = np.empty(shape, dtype=x.dtype)
-    else:
-        _check_out(out, shape, x.dtype)
+    out = np.empty((n * out_h * out_w, c * kernel * kernel), dtype=x.dtype)
     dst = out.reshape(n, out_h, out_w, c, kernel, kernel)
     if padding > 0:
         _gather_taps(
-            x, kernel, stride, padding, dst, out_h, out_w, tile_rows,
-            channels_first=False,
+            x, kernel, stride, padding, dst, out_h, out_w, None, channels_first=False
         )
         return out
     patches, _, _ = _sliding_patches(x, kernel, stride)
-    src = patches.transpose(0, 2, 3, 1, 4, 5)
-    if tile_rows is None or tile_rows >= out_h:
-        dst[...] = src
-    else:
-        for row in range(0, out_h, tile_rows):
-            stop = min(row + tile_rows, out_h)
-            dst[:, row:stop] = src[:, row:stop]
+    dst[...] = patches.transpose(0, 2, 3, 1, 4, 5)
     return out
 
 
@@ -259,7 +236,12 @@ def im2col_t(
     This is the layout the sparse engine's kernel layer computes in: one
     gather in, GEMM straight into the output tensor.  Like :func:`im2col`,
     padding is applied as zero-filled destination halo bands rather than a
-    padded input copy.
+    padded input copy.  ``out`` lets callers (the sparse engine's
+    workspace arena) provide the destination buffer, making the whole
+    operation allocation-free; ``tile_rows`` blocks the gather over
+    output-row tiles (see :func:`default_tile_rows`) so large feature maps
+    stream through L2 instead of thrashing it.  Tiling only reorders the
+    copy, so it never changes the result.
     """
     n, c = x.shape[:2]
     out_h, out_w = conv_output_shape(x.shape[2], x.shape[3], kernel, stride, padding)
@@ -357,27 +339,6 @@ def gather_patches_nhwc(
     return out
 
 
-def im2col_loop(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Reference im2col (the pre-kernel-layer loop implementation).
-
-    Materializes the full ``(N, C, k, k, OH, OW)`` patch tensor and pays a
-    transpose+reshape copy.  Kept as the equivalence oracle for
-    :func:`im2col` / :func:`im2col_t` — the zero-copy gathers must
-    reproduce it bit-for-bit.
-    """
-    n, c, h, w = x.shape
-    out_h, out_w = conv_output_shape(h, w, kernel, stride, padding)
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    col = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
-    for ky in range(kernel):
-        y_max = ky + stride * out_h
-        for kx in range(kernel):
-            x_max = kx + stride * out_w
-            col[:, :, ky, kx, :, :] = x[:, :, ky:y_max:stride, kx:x_max:stride]
-    return col.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
-
-
 def col2im(
     col: np.ndarray,
     input_shape: Tuple[int, int, int, int],
@@ -416,9 +377,10 @@ def conv2d_forward(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw-array convolution forward (one im2col + one GEMM, no autograd).
 
-    Shared between the autograd :func:`conv2d` and the sparse inference
-    engine's dense fast path.  Returns ``(out, col, w_mat)`` so callers can
-    reuse the unfolded patch matrix in their backward pass.
+    The forward half of the autograd :func:`conv2d`.  Returns ``(out, col,
+    w_mat)`` so the caller can reuse the unfolded patch matrix in its
+    backward pass.  (The sparse engine's dense path unfolds with
+    :func:`im2col_t` instead, straight into NCHW output.)
     """
     n, c, h, w = x.shape
     out_c, in_c, kh, kw = weight.shape

@@ -29,7 +29,6 @@ from ..core.engine import (
     available_backends,
     create_engine,
     model_sparsity,
-    register_backend,
 )
 from .cascade import (
     GATES,
@@ -48,7 +47,6 @@ from .registry import (
     LoadedArtifact,
     ModelRegistry,
     parse_ref,
-    register_arch,
 )
 from .session import InferenceSession, PendingResult, SessionClosed, SessionConfig
 
@@ -57,7 +55,6 @@ __all__ = [
     "DenseEngine",
     "SparseEngine",
     "create_engine",
-    "register_backend",
     "available_backends",
     "model_sparsity",
     "ARTIFACT_SCHEMA",
@@ -67,7 +64,6 @@ __all__ = [
     "LoadedArtifact",
     "ModelRegistry",
     "parse_ref",
-    "register_arch",
     "InferenceSession",
     "SessionConfig",
     "SessionClosed",

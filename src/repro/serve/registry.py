@@ -62,7 +62,6 @@ __all__ = [
     "LoadedArtifact",
     "ModelRegistry",
     "parse_ref",
-    "register_arch",
 ]
 
 ARTIFACT_SCHEMA = "repro.artifact.v1"
@@ -135,16 +134,6 @@ def parse_ref(ref: str) -> Tuple[str, Optional[int]]:
 # ----------------------------------------------------------------------
 # Architecture families
 # ----------------------------------------------------------------------
-_ARCH_BUILDERS: Dict[str, Callable[..., Module]] = {}
-
-
-def register_arch(family: str, builder: Callable[..., Module]) -> None:
-    """Register an architecture builder: ``builder(**kwargs) -> Module``."""
-    if family in _ARCH_BUILDERS:
-        raise ValueError(f"architecture family {family!r} is already registered")
-    _ARCH_BUILDERS[family] = builder
-
-
 def _build_vgg(blocks: List[List[int]], num_classes: int, in_channels: int) -> VGG:
     return VGG(
         [tuple(b) for b in blocks],
@@ -167,21 +156,21 @@ def _build_resnet(
     )
 
 
-register_arch("vgg", _build_vgg)
-register_arch("resnet", _build_resnet)
-register_arch("conv_stack", build_conv_stack)
+_ARCH_BUILDERS: Dict[str, Callable[..., Module]] = {
+    "vgg": _build_vgg,
+    "resnet": _build_resnet,
+    "conv_stack": build_conv_stack,
+}
 
 
 def infer_arch(model: Module) -> Dict[str, Any]:
     """Derive the manifest ``arch`` block from a live model.
 
-    VGG records its (already width-scaled) block spec verbatim, so any
-    ``width_multiplier`` round-trips exactly.  ResNet reconstruction infers
-    the multiplier from the stem width (``conv1.out / 16``) — exact for the
-    standard grid; pass an explicit ``arch`` to :meth:`ModelRegistry.save`
-    for exotic widths (a mismatch is caught by the strict weight load, not
-    silently mis-built).  Plain ``Sequential`` stacks carry no constructor
-    spec, so they always need the explicit ``arch``.
+    VGG records its (already width-scaled) block spec verbatim and ResNet
+    the ``width_multiplier`` it was built with, so any width round-trips
+    exactly.  Plain ``Sequential`` stacks carry no constructor spec, so
+    they always need an explicit ``arch`` passed to
+    :meth:`ModelRegistry.save`.
     """
     if isinstance(model, VGG):
         first_conv = model.features[0]
@@ -192,13 +181,12 @@ def infer_arch(model: Module) -> Dict[str, Any]:
             "in_channels": int(first_conv.weight.data.shape[1]),
         }
     if isinstance(model, ResNet):
-        stem_width = int(model.conv1.weight.data.shape[0])
         return {
             "family": "resnet",
             "blocks_per_group": model.blocks_per_group,
             "num_classes": model.num_classes,
             "in_channels": int(model.conv1.weight.data.shape[1]),
-            "width_multiplier": stem_width / ResNet.GROUP_CHANNELS[0],
+            "width_multiplier": float(model.width_multiplier),
         }
     raise TypeError(
         f"cannot infer an architecture spec for {type(model).__name__}; "

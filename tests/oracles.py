@@ -6,6 +6,9 @@ replaced it: one sample at a time, no padding slots, no shared buckets.
 The two agree to floating-point round-off at kept positions (BLAS blocks
 a width-``Pq`` padded GEMM differently from a width-``npos`` exact one)
 and both leave dropped positions exactly zero.
+
+:func:`im2col_loop` is the unfold loop ``repro.nn.functional.im2col`` and
+``im2col_t`` replaced; their strided gathers must reproduce it bit for bit.
 """
 
 from typing import Optional
@@ -14,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.masks import output_grid_mask
+from repro.nn.functional import conv_output_shape
 
 
 def per_position_conv(
@@ -52,3 +56,22 @@ def per_position_conv(
             vals = vals + bias
         out[i][:, ys, xs] = vals.T
     return out
+
+
+def im2col_loop(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
+    """Reference im2col: ``(N * OH * OW, C * k * k)`` by a loop over taps.
+
+    Materializes the full ``(N, C, k, k, OH, OW)`` patch tensor from a
+    padded input copy and pays a transpose+reshape copy.
+    """
+    n, c, h, w = x.shape
+    out_h, out_w = conv_output_shape(h, w, kernel, stride, padding)
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    col = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
+    for ky in range(kernel):
+        y_max = ky + stride * out_h
+        for kx in range(kernel):
+            x_max = kx + stride * out_w
+            col[:, :, ky, kx, :, :] = x[:, :, ky:y_max:stride, kx:x_max:stride]
+    return col.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)

@@ -6,6 +6,7 @@ import pytest
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
+from .oracles import im2col_loop
 from .util import check_gradients, float64_tensor
 
 
@@ -71,16 +72,16 @@ class TestIm2ColKernels:
     @pytest.mark.parametrize("kernel,stride,padding", KSP_GRID)
     def test_strided_matches_loop(self, rng, kernel, stride, padding):
         x = rng.normal(size=(3, 4, 9, 11)).astype(np.float32)
-        ref = F.im2col_loop(x, kernel, stride, padding)
+        ref = im2col_loop(x, kernel, stride, padding)
         np.testing.assert_array_equal(F.im2col(x, kernel, stride, padding), ref)
 
     @pytest.mark.parametrize("kernel,stride,padding", KSP_GRID)
     def test_tiled_matches_untiled(self, rng, kernel, stride, padding):
         x = rng.normal(size=(2, 3, 10, 9)).astype(np.float32)
-        ref = F.im2col(x, kernel, stride, padding)
+        ref = F.im2col_t(x, kernel, stride, padding)
         for tile in (1, 2, 3, 1000):
             np.testing.assert_array_equal(
-                F.im2col(x, kernel, stride, padding, tile_rows=tile), ref
+                F.im2col_t(x, kernel, stride, padding, tile_rows=tile), ref
             )
 
     @pytest.mark.parametrize("kernel,stride,padding", KSP_GRID)
@@ -97,10 +98,6 @@ class TestIm2ColKernels:
             .reshape(n, c * kernel * kernel, oh * ow)
         )
         np.testing.assert_array_equal(F.im2col_t(x, kernel, stride, padding), ref)
-        for tile in (1, 2, 1000):
-            np.testing.assert_array_equal(
-                F.im2col_t(x, kernel, stride, padding, tile_rows=tile), ref
-            )
 
     def test_padded_gather_overwrites_stale_buffer(self, rng):
         # The padded-destination gather zero-fills the halo bands instead
@@ -109,11 +106,7 @@ class TestIm2ColKernels:
         # previous call leaks into the patch matrix.
         x = rng.normal(size=(2, 3, 7, 7)).astype(np.float32)
         for kernel, stride, padding in [(3, 1, 1), (3, 2, 2), (5, 1, 2)]:
-            ref = F.im2col_loop(x, kernel, stride, padding)
-            poisoned = np.full_like(ref, np.nan)
-            np.testing.assert_array_equal(
-                F.im2col(x, kernel, stride, padding, out=poisoned), ref
-            )
+            ref = im2col_loop(x, kernel, stride, padding)
             oh, ow = F.conv_output_shape(7, 7, kernel, stride, padding)
             ref_t = ref.reshape(2, oh * ow, -1).transpose(0, 2, 1)
             poisoned_t = np.full_like(np.ascontiguousarray(ref_t), np.nan)
@@ -126,16 +119,11 @@ class TestIm2ColKernels:
         # come back as exact zero planes (tiny input, huge padding).
         x = rng.normal(size=(1, 2, 3, 3)).astype(np.float32)
         for kernel, stride, padding in [(3, 1, 3), (2, 2, 3), (3, 3, 4)]:
-            ref = F.im2col_loop(x, kernel, stride, padding)
+            ref = im2col_loop(x, kernel, stride, padding)
             np.testing.assert_array_equal(F.im2col(x, kernel, stride, padding), ref)
 
     def test_out_buffer_is_written_and_returned(self, rng):
         x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
-        ref = F.im2col(x, 3, 1, 1)
-        buf = np.full_like(ref, np.nan)
-        got = F.im2col(x, 3, 1, 1, out=buf)
-        assert got is buf
-        np.testing.assert_array_equal(buf, ref)
         ref_t = F.im2col_t(x, 3, 1, 1)
         buf_t = np.full_like(ref_t, np.nan)
         assert F.im2col_t(x, 3, 1, 1, out=buf_t) is buf_t
@@ -144,12 +132,12 @@ class TestIm2ColKernels:
     def test_out_buffer_validated(self, rng):
         x = rng.normal(size=(1, 2, 5, 5)).astype(np.float32)
         with pytest.raises(ValueError):
-            F.im2col(x, 3, 1, 0, out=np.empty((1, 1), dtype=np.float32))
+            F.im2col_t(x, 3, 1, 0, out=np.empty((1, 1), dtype=np.float32))
         with pytest.raises(ValueError):
-            F.im2col(x, 3, 1, 0, out=np.empty((9, 18), dtype=np.float64))
-        fortran = np.asfortranarray(np.empty((9, 18), dtype=np.float32))
+            F.im2col_t(x, 3, 1, 0, out=np.empty((1, 18, 9), dtype=np.float64))
+        fortran = np.asfortranarray(np.empty((1, 18, 9), dtype=np.float32))
         with pytest.raises(ValueError):
-            F.im2col(x, 3, 1, 0, out=fortran)
+            F.im2col_t(x, 3, 1, 0, out=fortran)
 
     @pytest.mark.parametrize("kernel,stride,padding", [(2, 1, 0), (3, 1, 1), (3, 2, 1), (5, 3, 2)])
     def test_col2im_roundtrip_adjoint(self, rng, kernel, stride, padding):

@@ -20,7 +20,7 @@ import pytest
 
 from repro.baselines.dynamic import instrument_with_gates
 from repro.core import sparse_exec
-from repro.core.engine import create_engine
+from repro.core.engine import SparseEngine, create_engine
 from repro.core.masks import (
     MaskSpec,
     group_by_kept_count,
@@ -29,12 +29,7 @@ from repro.core.masks import (
     threshold_mask,
 )
 from repro.core.pruning import DynamicPruning, PruningConfig, instrument_model
-from repro.core.sparse_exec import (
-    PlanConfig,
-    SparseResNetExecutor,
-    SparseSequentialExecutor,
-    sparse_conv2d,
-)
+from repro.core.sparse_exec import PlanConfig, sparse_conv2d
 from repro.models import build_conv_stack
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
@@ -272,7 +267,7 @@ class TestRaggedBitIdentity:
 class TestThresholdModePlans:
     def test_ragged_dispatch_engages_for_threshold_sites(self, rng):
         stack = threshold_stack()
-        executor = SparseSequentialExecutor(stack, PlanConfig(batch_invariant=True))
+        executor = SparseEngine(stack, PlanConfig(batch_invariant=True))
         x = rng.normal(size=(6, 3, 12, 12)).astype(np.float32)
         out, kinds = channel_kinds(executor, x)
         assert kinds == {"ragged"}
@@ -281,7 +276,7 @@ class TestThresholdModePlans:
 
     def test_plan_outputs_bit_identical_per_request(self, rng):
         stack = threshold_stack()
-        executor = SparseSequentialExecutor(stack, PlanConfig(batch_invariant=True))
+        executor = SparseEngine(stack, PlanConfig(batch_invariant=True))
         x = rng.normal(size=(5, 3, 12, 12)).astype(np.float32)
         batched = executor(x)
         for i in range(5):
@@ -296,7 +291,7 @@ class TestThresholdModePlans:
         # (The dense reference is not the oracle here — column skipping
         # intentionally leaves dropped positions zero, Sec. III-B.)
         stack = threshold_stack(spatial=True)
-        executor = SparseSequentialExecutor(stack, PlanConfig(batch_invariant=True))
+        executor = SparseEngine(stack, PlanConfig(batch_invariant=True))
         x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
         out = executor(x)
         assert executor.plan.dispatch_counts["ragged_spatial"] > 0
@@ -333,7 +328,7 @@ class TestThresholdModePlans:
             if isinstance(m, BatchNorm2d):
                 m.running_mean += gen.normal(size=m.num_features).astype(np.float32) * 0.1
                 m.running_var += np.abs(gen.normal(size=m.num_features)).astype(np.float32) * 0.1
-        executor = SparseResNetExecutor(model, PlanConfig(batch_invariant=True))
+        executor = SparseEngine(model, PlanConfig(batch_invariant=True))
         x = rng.normal(size=(4, 3, 16, 16)).astype(np.float32)
         out, kinds = channel_kinds(executor, x)
         assert kinds == {"ragged"}

@@ -15,17 +15,11 @@ import numpy as np
 import pytest
 
 from repro.core import sparse_exec
-from repro.core.engine import create_engine
+from repro.core.engine import SparseEngine, create_engine
 from repro.core.pruning import DynamicPruning, PruningConfig, instrument_model
-from repro.core.sparse_exec import (
-    ExecutionPlan,
-    PlanConfig,
-    SparseResNetExecutor,
-    SparseSequentialExecutor,
-    sparse_conv2d,
-)
+from repro.core.sparse_exec import ExecutionPlan, PlanConfig, sparse_conv2d
 from repro.models import build_conv_stack
-from repro.nn import BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, ReLU, Sequential, Tensor, no_grad
+from repro.nn import BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, ReLU, Sequential, Tensor
 from repro.nn import functional as F
 
 
@@ -157,7 +151,7 @@ class TestExecutionPlan:
         x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
         dense = create_engine(stack, backend="dense")(x)
         np.testing.assert_allclose(
-            SparseSequentialExecutor(stack)(x), dense, rtol=1e-3, atol=1e-5
+            SparseEngine(stack)(x), dense, rtol=1e-3, atol=1e-5
         )
 
     def test_fusion_compacts_op_count(self):
@@ -173,10 +167,10 @@ class TestExecutionPlan:
         stack = pruned_stack(channel_ratio=0.4, spatial_ratio=0.4)
         x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
         monkeypatch.setattr(sparse_exec, "DENSE_THRESHOLD", 0.0)
-        always_sparse = SparseSequentialExecutor(stack)
+        always_sparse = SparseEngine(stack)
         out_sparse = always_sparse(x)
         monkeypatch.setattr(sparse_exec, "DENSE_THRESHOLD", 1.0)
-        always_dense = SparseSequentialExecutor(stack)
+        always_dense = SparseEngine(stack)
         out_dense = always_dense(x)
         np.testing.assert_allclose(out_sparse, out_dense, rtol=1e-3, atol=1e-5)
         # Top-k column sites run the kept-position bucketed kernel.
@@ -187,7 +181,7 @@ class TestExecutionPlan:
 
     def test_batch_granularity_collapses_to_one_group(self, rng):
         stack = pruned_stack(granularity="batch")
-        executor = SparseSequentialExecutor(stack)
+        executor = SparseEngine(stack)
         x = rng.normal(size=(6, 3, 10, 10)).astype(np.float32)
         executor(x)
         # Two masked convs, each one channel-kernel call over one group.
@@ -207,36 +201,13 @@ class TestExecutionPlan:
         assert out.shape == (0, 2, 8, 8)
 
 
-class TestResNetPlanEquivalence:
-    def _model(self, channel_ratio, width=0.5, n=1, seed=0):
-        from repro.models import ResNet
-
-        model = ResNet(n, num_classes=10, width_multiplier=width, seed=seed)
-        model.eval()
-        instrument_model(model, PruningConfig([channel_ratio] * 3, [0.0] * 3))
-        gen = np.random.default_rng(seed + 1)
-        for m in model.modules():
-            if isinstance(m, BatchNorm2d):
-                m.running_mean += gen.normal(size=m.num_features).astype(np.float32) * 0.1
-                m.running_var += np.abs(gen.normal(size=m.num_features)).astype(np.float32) * 0.1
-        return model
-
-    def test_channel_pruning_matches_dense(self, rng):
-        model = self._model(channel_ratio=0.6)
-        x = rng.normal(size=(3, 3, 16, 16)).astype(np.float32)
-        executor = SparseResNetExecutor(model)
-        with no_grad():
-            dense = model(Tensor(x)).data
-        np.testing.assert_allclose(executor(x), dense, rtol=2e-3, atol=2e-4)
-
-
 # ----------------------------------------------------------------------
 # Zero-copy kernel layer: workspace reuse and per-sample bit-identity
 # ----------------------------------------------------------------------
 class TestWorkspaceReuse:
     def test_arena_reuses_buffers_across_plan_calls(self, rng):
         stack = pruned_stack()
-        executor = SparseSequentialExecutor(stack)
+        executor = SparseEngine(stack)
         x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
         executor(x)
         warm = executor.plan.arena_stats()
@@ -255,7 +226,7 @@ class TestWorkspaceReuse:
         model = ResNet(1, num_classes=10, width_multiplier=0.5, seed=0)
         model.eval()
         instrument_model(model, PruningConfig([0.6] * 3, [0.0] * 3))
-        executor = SparseResNetExecutor(model)
+        executor = SparseEngine(model)
         x = rng.normal(size=(2, 3, 16, 16)).astype(np.float32)
         executor(x)
         allocations = executor.plan.arena_stats()["allocations"]
@@ -321,7 +292,7 @@ class TestPerSampleBitIdentity:
 
     def test_plan_outputs_ignore_batch_composition(self, rng):
         stack = pruned_stack(granularity="input")
-        executor = SparseSequentialExecutor(stack, PlanConfig(batch_invariant=True))
+        executor = SparseEngine(stack, PlanConfig(batch_invariant=True))
         x = rng.normal(size=(5, 3, 10, 10)).astype(np.float32)
         batched = executor(x)
         for i in range(5):

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import create_engine
+from repro.core.engine import SparseEngine, create_engine
 from repro.core.pruning import DynamicPruning, PruningConfig, instrument_model
-from repro.core.sparse_exec import SparseSequentialExecutor, sparse_conv2d
+from repro.core.sparse_exec import sparse_conv2d
 from repro.nn import (
     BatchNorm2d,
     Conv2d,
     GlobalAvgPool2d,
+    Identity,
     Linear,
     MaxPool2d,
     ReLU,
@@ -133,10 +134,12 @@ def build_stack(seed=0, with_pruning=True, channel_ratio=0.5, spatial_ratio=0.0)
 
 
 class TestSparseSequentialExecutor:
+    """The sparse engine on ``Sequential`` stacks against the dense engine."""
+
     def test_matches_dense_without_pruning(self, rng):
         stack = build_stack(with_pruning=False)
         x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
-        sparse = SparseSequentialExecutor(stack)(x)
+        sparse = SparseEngine(stack)(x)
         dense = create_engine(stack, backend="dense")(x)
         np.testing.assert_allclose(sparse, dense, rtol=1e-4, atol=1e-5)
 
@@ -144,7 +147,7 @@ class TestSparseSequentialExecutor:
         # Channel skipping is exact end to end.
         stack = build_stack(channel_ratio=0.5, spatial_ratio=0.0)
         x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
-        sparse = SparseSequentialExecutor(stack)(x)
+        sparse = SparseEngine(stack)(x)
         dense = create_engine(stack, backend="dense")(x)
         np.testing.assert_allclose(sparse, dense, rtol=1e-4, atol=1e-5)
 
@@ -154,21 +157,23 @@ class TestSparseSequentialExecutor:
         # deviation, and predictions should rarely differ.
         stack = build_stack(channel_ratio=0.0, spatial_ratio=0.4)
         x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
-        sparse = SparseSequentialExecutor(stack)(x)
+        sparse = SparseEngine(stack)(x)
         dense = create_engine(stack, backend="dense")(x)
         assert sparse.shape == dense.shape
 
     def test_flattens_nested_sequential(self):
         inner = Sequential(ReLU(), DynamicPruning(0.5))
         stack = Sequential(Conv2d(3, 4, 3, padding=1), inner, GlobalAvgPool2d(), Linear(4, 2))
-        executor = SparseSequentialExecutor(stack)
-        assert len(executor.layers) == 5
+        ops = SparseEngine(stack).plan.ops
+        assert [type(op).__name__ for op in ops] == [
+            "_ConvOp", "_PruneOp", "_GlobalAvgPoolOp", "_LinearOp"
+        ]
 
     def test_rejects_unknown_layer(self):
         from repro.nn import Dropout
 
         with pytest.raises(TypeError):
-            SparseSequentialExecutor(Sequential(Dropout(0.5)))
+            SparseEngine(Sequential(Dropout(0.5)))
 
     def test_instrumented_vgg_features_run_sparse(self, rng):
         # End-to-end over a real instrumented VGG feature extractor.
@@ -177,7 +182,7 @@ class TestSparseSequentialExecutor:
         model = vgg11(width_multiplier=0.1, seed=0)
         model.eval()
         instrument_model(model, PruningConfig([0.5] * 5, [0.0] * 5))
-        executor = SparseSequentialExecutor(model.features)
+        executor = SparseEngine(model.features)
         x = rng.normal(size=(2, 3, 32, 32)).astype(np.float32)
         sparse = executor(x)
         dense = create_engine(model.features, backend="dense")(x)
@@ -185,6 +190,8 @@ class TestSparseSequentialExecutor:
 
 
 class TestSparseResNetExecutor:
+    """The sparse engine on ResNets against the model's own forward."""
+
     def _model(self, channel_ratio=0.5, spatial_ratio=0.0, width=0.5, n=1, seed=0):
         from repro.models import ResNet
 
@@ -202,23 +209,18 @@ class TestSparseResNetExecutor:
         return model
 
     def test_matches_dense_without_pruning(self, rng):
-        from repro.core.sparse_exec import SparseResNetExecutor
-        from repro.nn import Tensor, no_grad
-
         model = self._model(channel_ratio=0.0)
         x = rng.normal(size=(2, 3, 16, 16)).astype(np.float32)
-        sparse = SparseResNetExecutor(model)(x)
+        sparse = SparseEngine(model)(x)
         with no_grad():
             dense = model(Tensor(x)).data
         np.testing.assert_allclose(sparse, dense, rtol=2e-3, atol=2e-4)
 
-    def test_channel_pruning_exact(self, rng):
-        from repro.core.sparse_exec import SparseResNetExecutor
-        from repro.nn import Tensor, no_grad
-
-        model = self._model(channel_ratio=0.5)
+    @pytest.mark.parametrize("ratio", [0.5, 0.6])
+    def test_channel_pruning_exact(self, rng, ratio):
+        model = self._model(channel_ratio=ratio)
         x = rng.normal(size=(2, 3, 16, 16)).astype(np.float32)
-        sparse = SparseResNetExecutor(model)(x)
+        sparse = SparseEngine(model)(x)
         with no_grad():
             dense = model(Tensor(x)).data
         np.testing.assert_allclose(sparse, dense, rtol=2e-3, atol=2e-4)
@@ -227,35 +229,44 @@ class TestSparseResNetExecutor:
         # Column skipping follows the paper's zero-at-removed semantics, so
         # it deviates from the dense reference at skipped positions; check
         # structural sanity instead of equality.
-        from repro.core.sparse_exec import SparseResNetExecutor
-
         model = self._model(channel_ratio=0.3, spatial_ratio=0.5)
         x = rng.normal(size=(2, 3, 16, 16)).astype(np.float32)
-        out = SparseResNetExecutor(model)(x)
+        out = SparseEngine(model)(x)
         assert out.shape == (2, 10)
         assert np.isfinite(out).all()
 
     def test_downsample_blocks_handled(self, rng):
         # Group boundaries use projection shortcuts with stride 2.
-        from repro.core.sparse_exec import SparseResNetExecutor
-        from repro.nn import Tensor, no_grad
-
         model = self._model(channel_ratio=0.5, n=2)
         x = rng.normal(size=(1, 3, 32, 32)).astype(np.float32)
-        sparse = SparseResNetExecutor(model)(x)
+        sparse = SparseEngine(model)(x)
         with no_grad():
             dense = model(Tensor(x)).data
         np.testing.assert_allclose(sparse, dense, rtol=3e-3, atol=3e-4)
 
     def test_uninstrumented_model_supported(self, rng):
-        from repro.core.sparse_exec import SparseResNetExecutor
         from repro.models import resnet8
-        from repro.nn import Tensor, no_grad
 
         model = resnet8(width_multiplier=0.5, seed=0)
         model.eval()
         x = rng.normal(size=(1, 3, 16, 16)).astype(np.float32)
-        sparse = SparseResNetExecutor(model)(x)
+        sparse = SparseEngine(model)(x)
         with no_grad():
             dense = model(Tensor(x)).data
         np.testing.assert_allclose(sparse, dense, rtol=2e-3, atol=2e-4)
+
+    def test_compiles_to_one_op_list(self):
+        # Stem, one residual op per block, pool, classifier; a block's
+        # body is conv1 (BN and ReLU fused), its pruning site and conv2,
+        # and only a projection shortcut compiles to an op.
+        model = self._model(n=2)
+        ops = SparseEngine(model).plan.ops
+        blocks = [b for g in (model.group1, model.group2, model.group3) for b in g]
+        assert [type(op).__name__ for op in ops] == (
+            ["_ConvOp"] + ["_ResidualOp"] * len(blocks) + ["_GlobalAvgPoolOp", "_LinearOp"]
+        )
+        for op, block in zip(ops[1:], blocks):
+            assert [type(o).__name__ for o in op.body] == ["_ConvOp", "_PruneOp", "_ConvOp"]
+            projection = not isinstance(block.shortcut, Identity)
+            assert [type(o).__name__ for o in op.shortcut] == ["_ConvOp"] * projection
+        assert sum(1 for b in blocks if not isinstance(b.shortcut, Identity)) == 2

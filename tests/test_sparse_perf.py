@@ -6,24 +6,13 @@ executor must never lose to the dense reference, or the fast path has
 silently regressed to per-sample work.
 """
 
-import time
-
 import numpy as np
 
-from repro.core.engine import create_engine
+from benchmarks.bench_utils import timed
+from repro.core.engine import SparseEngine, create_engine
 from repro.core.pruning import PruningConfig, instrument_model
-from repro.core.sparse_exec import SparseResNetExecutor, SparseSequentialExecutor
 from repro.models import ResNet, build_conv_stack
 from repro.nn import Tensor, no_grad
-
-
-def best_of(fn, repeats=5):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def test_resnet_block_not_slower_than_dense_at_high_sparsity(rng):
@@ -33,15 +22,15 @@ def test_resnet_block_not_slower_than_dense_at_high_sparsity(rng):
     model.eval()
     instrument_model(model, PruningConfig([0.75] * 3, [0.0] * 3))
     x = rng.normal(size=(8, 3, 32, 32)).astype(np.float32)
-    executor = SparseResNetExecutor(model)
-    executor(x)  # warm plan + weight-slice cache
+    executor = SparseEngine(model)
+    executor(x)  # warm the plan's workspace
 
     def dense():
         with no_grad():
             return model(Tensor(x)).data
 
-    t_sparse = best_of(lambda: executor(x))
-    t_dense = best_of(dense)
+    t_sparse = timed(lambda: executor(x), repeats=5)
+    t_dense = timed(dense, repeats=5)
     # 10% slack absorbs timer noise; a fast-path regression to per-sample
     # dense work shows up as a multiple, not a percentage.
     assert t_sparse <= t_dense * 1.10, (
@@ -52,13 +41,13 @@ def test_resnet_block_not_slower_than_dense_at_high_sparsity(rng):
 def test_conv_stack_speedup_at_high_sparsity(rng):
     # The VGG-style stack is GEMM-dominated, so the win must be decisive.
     stack = build_conv_stack(0.75, width=48, depth=3)
-    executor = SparseSequentialExecutor(stack)
+    executor = SparseEngine(stack)
     x = rng.normal(size=(8, 3, 32, 32)).astype(np.float32)
     executor(x)
 
-    t_sparse = best_of(lambda: executor(x))
+    t_sparse = timed(lambda: executor(x), repeats=5)
     dense = create_engine(stack, backend="dense")
-    t_dense = best_of(lambda: dense(x))
+    t_dense = timed(lambda: dense(x), repeats=5)
     assert t_sparse <= t_dense, (
         f"sparse {t_sparse * 1e3:.1f}ms vs dense {t_dense * 1e3:.1f}ms at 75% sparsity"
     )
