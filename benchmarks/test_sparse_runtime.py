@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.core.engine import create_engine
-from repro.core.sparse_exec import PlanConfig
 from repro.models import build_conv_stack as conv_stack
 from repro.serve import InferenceSession
 
@@ -31,7 +30,7 @@ from .bench_utils import timed
 
 def session_for(stack):
     """Engine access as deployments get it: a session's synchronous path."""
-    return InferenceSession.from_model(stack, backend="sparse", plan=PlanConfig())
+    return InferenceSession.from_model(stack, backend="sparse")
 
 
 @pytest.fixture(scope="module")

@@ -10,18 +10,21 @@ PR 1 built the batched sparse engine; this example shows the serving stack
    it in an :class:`~repro.serve.InferenceSession` — the stable inference
    API with a bounded queue and a micro-batching scheduler;
 3. verify the serving contract: responses are **bit-identical** to
-   one-request-at-a-time execution (``batch_invariant`` plans make batch
-   composition unobservable);
+   one-request-at-a-time execution (every compiled plan op is
+   batch-invariant, so batch composition is unobservable);
 4. time one-at-a-time vs micro-batched serving and print the session
    telemetry (latency quantiles, occupancy, kernel dispatch counts);
 5. run the same traffic through a **multi-worker** session (PR 3): N
    threads share the compiled plan's read-only weights, each with its own
    workspace arena, and responses stay bit-identical.
 
+The script exits 1 if either bit-identity check fails.
+
 Serving throughput and latency on the paper's Table I models are
 measured by ``perfbench/run.py`` (see ``perfbench/README.md``).
 """
 
+import sys
 import tempfile
 import time
 
@@ -33,7 +36,7 @@ from repro.serve import InferenceSession, ModelRegistry, SessionConfig
 REQUESTS = 48
 
 
-def main() -> None:
+def main() -> int:
     rng = np.random.default_rng(1)
     requests = [rng.normal(size=(1, 3, 8, 8)).astype(np.float32) for _ in range(REQUESTS)]
 
@@ -66,11 +69,11 @@ def main() -> None:
         outputs = session.infer_many(requests)
         t_batched = time.perf_counter() - start
 
-        identical = all(np.array_equal(a, b) for a, b in zip(outputs, reference))
+        single_worker = all(np.array_equal(a, b) for a, b in zip(outputs, reference))
         print(f"one-at-a-time: {REQUESTS / t_seq:7.0f} requests/s")
         print(f"micro-batched: {REQUESTS / t_batched:7.0f} requests/s "
               f"({t_seq / t_batched:.2f}x)")
-        print(f"responses bit-identical to per-request execution: {identical}")
+        print(f"responses bit-identical to per-request execution: {single_worker}")
 
         stats = session.stats()
         print(f"\nsession telemetry: {stats['batches']} batches, "
@@ -90,11 +93,11 @@ def main() -> None:
             session=SessionConfig(max_batch=8, batch_window_ms=20.0, workers=2),
         )
         outputs = session.infer_many(requests)
-        identical = all(np.array_equal(a, b) for a, b in zip(outputs, reference))
+        two_workers = all(np.array_equal(a, b) for a, b in zip(outputs, reference))
         stats = session.stats()
         workspace = stats["engine"]["workspace"]
         print(f"2 workers, per-worker windows {stats['per_worker']}, "
-              f"bit-identical: {identical}")
+              f"bit-identical: {two_workers}")
         print(f"workspace arenas: {workspace['arenas']} threads, "
               f"{workspace['reuses']} buffer reuses, "
               f"{workspace['bytes'] / 1024:.0f}K resident scratch")
@@ -108,7 +111,8 @@ def main() -> None:
         "\ninvisible scheduling detail, exactly what a serving API must"
         "\nguarantee."
     )
+    return 0 if single_worker and two_workers else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -19,7 +19,6 @@ from .engine import (
     SparseEngine,
     available_backends,
     create_engine,
-    model_sparsity,
 )
 from .flops import DynamicFlopsReport, FlopsReport, LayerFlops, count_flops, dynamic_flops
 from .masks import (
@@ -90,7 +89,6 @@ __all__ = [
     "SparseEngine",
     "create_engine",
     "available_backends",
-    "model_sparsity",
     "greedy_ratio_search",
     "AutotuneResult",
     "AutotuneStep",

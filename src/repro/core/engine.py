@@ -15,12 +15,10 @@ backends behind it:
     (adaptive) sites round kept counts up to a quantum, top-k sites group
     by exact count.
 ``auto``
-    Sparsity-threshold dispatch: inspects the model's configured pruning
-    ratios and picks ``sparse`` when any site prunes at least
-    :data:`AUTO_THRESHOLD` of its dimension (gather savings beat overhead),
-    or whenever the config asks for batch-invariant serving, falling back
-    to ``dense`` for unpruned models or layer graphs the plan compiler
-    rejects (:class:`~repro.core.sparse_exec.UnsupportedGraphError`).
+    ``sparse``, unless the plan compiler rejects the layer graph
+    (:class:`~repro.core.sparse_exec.UnsupportedGraphError`); then
+    ``dense``.  Only the plan is batch-invariant, and it runs even an
+    unpruned model about as fast as the dense forward, or faster.
 ``procpool``
     A process-parallel pool of bit-identical engine replicas behind
     :mod:`multiprocessing.shared_memory` transport (``proc_workers=N``) —
@@ -38,12 +36,12 @@ factory, so an artifact's metadata can name its backend as data.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..nn import Module
-from .pruning import DynamicPruning, InstrumentedModel
+from .pruning import InstrumentedModel
 from .sparse_exec import ExecutionPlan, PlanConfig, UnsupportedGraphError
 
 __all__ = [
@@ -52,8 +50,6 @@ __all__ = [
     "SparseEngine",
     "available_backends",
     "create_engine",
-    "iter_pruners",
-    "model_sparsity",
 ]
 
 
@@ -119,33 +115,6 @@ def _unwrap(model: object) -> Module:
     raise TypeError(f"cannot build an engine around {type(model).__name__}")
 
 
-def iter_pruners(model: Module) -> Iterator[DynamicPruning]:
-    """Yield every :class:`DynamicPruning` layer reachable from ``model``."""
-    for module in model.modules():
-        if isinstance(module, DynamicPruning):
-            yield module
-
-
-def model_sparsity(model: Module) -> float:
-    """Largest configured prune fraction across the model's active sites.
-
-    ``0.0`` for uninstrumented or fully disabled models.  ``threshold``
-    mode sites report their on/off ratio switches, which is the best static
-    proxy available before any input is seen.  FBS-style gates count with
-    their configured ``prune_ratio``.
-    """
-    from ..baselines.dynamic import FBSGate
-
-    worst = 0.0
-    for pruner in iter_pruners(model):
-        if pruner.active:
-            worst = max(worst, pruner.channel_ratio, pruner.spatial_ratio)
-    for module in model.modules():
-        if isinstance(module, FBSGate) and module.active:
-            worst = max(worst, module.prune_ratio)
-    return worst
-
-
 # ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
@@ -163,7 +132,7 @@ class DenseEngine(EngineProtocol):
     backend = "dense"
     thread_safe = False
 
-    def __init__(self, model: object, config: Optional[PlanConfig] = None):
+    def __init__(self, model: object):
         self.model = _unwrap(model)
         self.calls = 0
 
@@ -191,7 +160,8 @@ class SparseEngine(EngineProtocol):
     Compiles the model — a ``Sequential`` stack, a VGG-style model or a
     ResNet — into one :class:`~repro.core.sparse_exec.ExecutionPlan` at
     construction; ``plan`` is where a :class:`repro.obs.PlanProfiler`
-    attaches.
+    attaches.  Batch-invariant by construction: each sample's output is
+    bit-identical whichever batch it runs in.
 
     Thread-safe: the compiled plan's weights are read-only after
     compilation and scratch lives in per-thread workspace arenas, so N
@@ -203,9 +173,9 @@ class SparseEngine(EngineProtocol):
     backend = "sparse"
     thread_safe = True
 
-    def __init__(self, model: object, config: Optional[PlanConfig] = None):
+    def __init__(self, model: object):
         self.model = _unwrap(model)
-        self.plan = ExecutionPlan.compile([self.model], config)
+        self.plan = ExecutionPlan.compile([self.model])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.plan.run(np.asarray(x, dtype=np.float32))
@@ -237,36 +207,17 @@ class SparseEngine(EngineProtocol):
 # ----------------------------------------------------------------------
 # Factory
 # ----------------------------------------------------------------------
-#: Smallest configured prune fraction at which ``auto`` compiles a plan for
-#: a direct (not batch-invariant) caller; below it the gather machinery
-#: cannot pay for itself.
-AUTO_THRESHOLD = 0.05
-
-
-def _build_auto(
-    model: object,
-    config: Optional[PlanConfig] = None,
-    **kwargs: object,
-) -> EngineProtocol:
+def _build_auto(model: object, **kwargs: object) -> EngineProtocol:
     inner = _unwrap(model)
-    # A batch-invariant config is a serving contract only plan-backed
-    # engines honor, so it takes the compiled plan even for unpruned
-    # models (its dense fast path is invariant too).
-    invariant = config is not None and config.batch_invariant
-    if invariant or model_sparsity(inner) >= AUTO_THRESHOLD:
-        try:
-            return SparseEngine(inner, config, **kwargs)
-        except UnsupportedGraphError:
-            # Layer graph the plan compiler does not know — dense fallback.
-            pass
-    return DenseEngine(inner, config, **kwargs)
+    try:
+        return SparseEngine(inner, **kwargs)
+    except UnsupportedGraphError:
+        # Layer graph the plan compiler does not know — dense fallback.
+        pass
+    return DenseEngine(inner, **kwargs)
 
 
-def _build_procpool(
-    model: object,
-    config: Optional[PlanConfig] = None,
-    **kwargs: object,
-) -> EngineProtocol:
+def _build_procpool(model: object, **kwargs: object) -> EngineProtocol:
     """Process-parallel engine pool (lazy import: it lives in the serving
     layer, one level up — see :mod:`repro.serve.procpool`).
 
@@ -275,7 +226,7 @@ def _build_procpool(
     """
     from ..serve.procpool import ProcPoolEngine
 
-    return ProcPoolEngine(model, config=config, **kwargs)
+    return ProcPoolEngine(model, **kwargs)
 
 
 _BACKENDS: Dict[str, Callable[..., EngineProtocol]] = {
@@ -308,8 +259,9 @@ def create_engine(
         One of :func:`available_backends` — ``"auto"``, ``"dense"``,
         ``"procpool"`` or ``"sparse"``.
     config:
-        :class:`~repro.core.sparse_exec.PlanConfig` compilation knobs,
-        honored by plan-backed engines.
+        Accepted and ignored (see
+        :class:`~repro.core.sparse_exec.PlanConfig`): every plan is
+        batch-invariant by construction.
     kwargs:
         Extra backend-specific options (e.g. the ``procpool`` backend's
         ``proc_workers``).  A backend rejects an option it does not know
@@ -321,4 +273,4 @@ def create_engine(
         raise ValueError(
             f"unknown engine backend {backend!r}; available: {available_backends()}"
         ) from None
-    return builder(model, config=config, **kwargs)
+    return builder(model, **kwargs)

@@ -33,10 +33,9 @@ engine that realizes those savings on CPU, at batch scale:
 * **Plan compilation** (:class:`ExecutionPlan`): the layer graph is walked
   once per model at engine construction — Conv→BN(→ReLU) chains are fused
   into a single op (BN folded into the conv weights at eval time, which
-  are then also stored channel-major for the channel kernel), output
-  shapes are memoized per input geometry, and every convolution dispatches
-  to a dense fast path when a top-k mask prunes less than
-  :data:`DENSE_THRESHOLD` (gather overhead would exceed the skipped work).
+  are then also stored channel-major for the channel kernel) and output
+  shapes are memoized per input geometry.  Every masked convolution runs
+  its mask's kernel; only an unmasked one runs dense.
 * **Zero-copy kernel layer**: every convolution unfolds its input with the
   channels-first :func:`repro.nn.functional.im2col_t` gather (blocked over
   output-row tiles at large feature maps) straight into a plan-owned
@@ -49,6 +48,12 @@ engine that realizes those savings on CPU, at batch scale:
 
 Numerical contract (see ``tests/test_sparse_engine.py``):
 
+* **Batch invariance** holds for every op by construction: each
+  convolution kernel runs fixed-shape per-sample GEMM slices, and the
+  classifier head and the FBS saliency predictor use a fixed-order
+  ``einsum``, so a sample's output is bit-identical whichever window it
+  shares.  (A ``granularity="batch"`` site is the one exception by
+  definition: its mask is the window's union.)
 * **Channel skipping** is numerically equivalent to the dense masked
   convolution — a zeroed input channel contributes nothing to any output,
   so gathering kept channels/weight rows computes the same sums over
@@ -119,14 +124,6 @@ class UnsupportedGraphError(TypeError):
 #: axis — every per-sample GEMM slice keeps the same shape, strides, and
 #: operand values — so results are bit-identical at any tile size.
 RAGGED_TILE_BYTES = 4 * 1024 * 1024
-
-#: Minimum pruned fraction of a top-k mask for a plan to run the sparse
-#: kernels.  Below it the gather overhead outweighs the skipped work, so
-#: the convolution runs dense on the already-masked input (channel results
-#: are identical; dropped output columns are zeroed after the fact to keep
-#: the skip semantics).  Adaptive masks never take this shortcut: their
-#: batch mean depends on who shares the batch.
-DENSE_THRESHOLD = 0.15
 
 #: Rounding quantum for adaptive (threshold-mode) channel sites: per-sample
 #: kept counts are rounded up to the next multiple before grouping, so
@@ -565,21 +562,13 @@ def sparse_conv2d(
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class PlanConfig:
-    """Knobs for :class:`ExecutionPlan` compilation.
+    """Accepted and ignored: compiled plans have no knobs left.
 
-    Attributes
-    ----------
-    batch_invariant:
-        Guarantee each sample's output is bit-identical no matter how the
-        batch is composed.  BLAS picks different blocking (and hence
-        summation order) for different GEMM row counts, so a flat GEMM can
-        differ in the last ulp between a batch of 1 and a batch of 8; the
-        serving layer's micro-batching scheduler needs batch composition
-        to be unobservable, so :class:`repro.serve.InferenceSession` turns
-        this on.  Every convolution kernel runs fixed-shape per-sample
-        GEMM slices unconditionally (the invariant form is also the
-        zero-copy one), so the flag only steers the classifier head; its
-        CPU cost is near zero.
+    Every plan op is batch-invariant by construction, so
+    ``batch_invariant`` changes nothing.  The class stays so that callers
+    that still pass it (perfbench's ``create_engine(config=...)`` calls)
+    and manifests' ``plan`` blocks
+    (:attr:`repro.serve.LoadedArtifact.plan_config`) keep loading.
     """
 
     batch_invariant: bool = False
@@ -590,8 +579,7 @@ class _MaskState:
 
     ``ragged`` marks the pending masks as adaptive (per-sample kept-counts
     may differ), which makes the consuming convolution round kept counts
-    up to :data:`KEPT_QUANTUM` and disables the batch-mean dense shortcut
-    (its decision would depend on batch composition).
+    up to :data:`KEPT_QUANTUM`.
     """
 
     __slots__ = ("channel", "spatial", "ragged")
@@ -726,34 +714,16 @@ class _ConvOp:
 
     def run(self, x: np.ndarray, state: _MaskState, plan: "ExecutionPlan") -> np.ndarray:
         channel_mask, spatial_mask, ragged = state.take()
-        zero_out: Optional[np.ndarray] = None
 
         # Observability preamble: only when a tracer is installed or a
-        # profiler is attached does this op pay for a timer pair.  The
-        # masks get mutated below (dense-threshold downgrades), so the
-        # geometry key is computed now.
+        # profiler is attached does this op pay for a timer pair.
         profiler = plan.profiler
         timing = profiler is not None or _obs.enabled
         if timing:
             obs_geo = self.geometry(x, channel_mask, ragged, spatial_mask)
             obs_start = time.perf_counter()
 
-        # The batch-mean dense shortcut below is skipped for ragged masks:
-        # its decision depends on who shares the batch, which would break
-        # the batch-invariance contract for adaptive traffic.
-        if channel_mask is not None and not ragged:
-            if 1.0 - float(channel_mask.mean()) < DENSE_THRESHOLD:
-                # Input channels are already zeroed upstream: dense is exact.
-                channel_mask = None
         oh, ow = self.output_shape(x.shape[2], x.shape[3])
-        if spatial_mask is not None and not ragged:
-            keep2d = output_keep_grid(spatial_mask, self.stride, oh, ow)
-            if 1.0 - float(keep2d.mean()) < DENSE_THRESHOLD:
-                # Compute dense, then zero dropped positions to preserve the
-                # skip semantics (identical values at kept positions).
-                zero_out = keep2d
-                spatial_mask = None
-
         arena = plan.arena
         if spatial_mask is not None:
             kind = "ragged_spatial"
@@ -772,8 +742,6 @@ class _ConvOp:
             kind = "dense"
             out = _dense_conv(x, self.weight, self.bias, self.stride, self.padding, arena, oh, ow)
         plan.count_dispatch(kind)
-        if zero_out is not None:
-            out *= zero_out[:, None, :, :]
         if self.relu:
             np.maximum(out, 0.0, out=out)
         if timing:
@@ -861,14 +829,10 @@ class _LinearOp:
         self.bias = None if layer.bias is None else layer.bias.data
 
     def run(self, x: np.ndarray, state: _MaskState, plan: "ExecutionPlan") -> np.ndarray:
-        if plan.config.batch_invariant:
-            # einsum's non-BLAS kernel reduces over the feature axis in a
-            # fixed order per output element, so logits ignore batch
-            # composition — without the old per-sample singleton-axis
-            # matmul detour (N separate gufunc GEMM dispatches).
-            out = np.einsum("nf,of->no", x, self.weight)
-        else:
-            out = x @ self.weight.T
+        # einsum's non-BLAS kernel reduces over the feature axis in a fixed
+        # order per output element, so logits ignore batch composition; a
+        # flat BLAS GEMM's blocking depends on the row count.
+        out = np.einsum("nf,of->no", x, self.weight)
         if self.bias is not None:
             out = out + self.bias
         return out
@@ -927,7 +891,8 @@ class _GateOp:
         n, c = x.shape[:2]
         squeezed = x.mean(axis=(2, 3))
         predictor = layer.predictor
-        saliency = squeezed @ predictor.weight.data.T
+        # The head's fixed-order form, so saliency ignores batch composition.
+        saliency = np.einsum("nc,oc->no", squeezed, predictor.weight.data)
         if predictor.bias is not None:
             saliency = saliency + predictor.bias.data
         np.maximum(saliency, 0.0, out=saliency)
@@ -1056,9 +1021,8 @@ class ExecutionPlan:
     #: Dispatch-counter labels: the kernel each convolution call ran.
     DISPATCH_KINDS = ("channel", "ragged_spatial", "dense")
 
-    def __init__(self, ops: List[object], config: PlanConfig):
+    def __init__(self, ops: List[object]):
         self.ops = ops
-        self.config = config
         self.arenas = ArenaPool()
         self._dispatch_lock = threading.Lock()
         #: Opt-in per-op profiler (:class:`repro.obs.PlanProfiler`) — when
@@ -1089,12 +1053,8 @@ class ExecutionPlan:
         return self.arenas.stats()
 
     @classmethod
-    def compile(
-        cls,
-        layers: Sequence[Module],
-        config: Optional[PlanConfig] = None,
-    ) -> "ExecutionPlan":
-        return cls(_compile_ops(_flatten(layers), itertools.count()), config or PlanConfig())
+    def compile(cls, layers: Sequence[Module]) -> "ExecutionPlan":
+        return cls(_compile_ops(_flatten(layers), itertools.count()))
 
     def run(self, x: np.ndarray) -> np.ndarray:
         return self.run_ops(self.ops, x)

@@ -226,6 +226,15 @@ class Histogram:
         count = snap["count"]
         return (snap["sum"] / count) if count else 0.0  # type: ignore[operator]
 
+    def summary_ms(self) -> Dict[str, float]:
+        """``p50``, ``p95``, ``mean`` and ``max`` of a seconds histogram, in ms."""
+        return {
+            "p50": self.percentile(50) * 1e3,
+            "p95": self.percentile(95) * 1e3,
+            "mean": self.mean() * 1e3,
+            "max": float(self.snapshot()["max"]) * 1e3,
+        }
+
     def reset(self) -> None:
         """Zero counts and envelope — for ``reset_stats()`` surfaces."""
         with self._lock:

@@ -28,7 +28,6 @@ from ..core.engine import (
     SparseEngine,
     available_backends,
     create_engine,
-    model_sparsity,
 )
 from .cascade import (
     GATES,
@@ -56,7 +55,6 @@ __all__ = [
     "SparseEngine",
     "create_engine",
     "available_backends",
-    "model_sparsity",
     "ARTIFACT_SCHEMA",
     "ArtifactNotFoundError",
     "ArtifactIntegrityError",

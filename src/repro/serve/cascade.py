@@ -29,8 +29,10 @@ them on a held-out set to a target accuracy retention, or the caller
 passes explicit values.
 
 Correctness contract: stages are plain :class:`InferenceSession`\\ s, so
-every stage's responses are bit-identical to running that stage's model
-directly (``batch_invariant=True``).  An escalated response is therefore
+on plan-backed engines every stage's responses are bit-identical to
+running that stage's model directly (every compiled op is
+batch-invariant; the ``dense`` backend and ``granularity="batch"`` sites
+are the exceptions).  An escalated response is therefore
 bit-identical to what the denser model would have answered standalone —
 by construction, and asserted when ``verify_escalations=True`` (every
 gate-accepted response is re-run through the stage's synchronous
@@ -115,48 +117,23 @@ class CalibrationReport:
     samples: int
 
 
-class CascadeResult:
+class CascadeResult(PendingResult):
     """Future-like handle for one cascade request.
 
-    After :meth:`result` returns, :attr:`stage` is the index of the
-    ladder stage that answered (0 = most pruned) and :attr:`confidence`
-    the request's gate confidence at that stage (``None`` when the final
-    stage answered without being gated).
+    A :class:`PendingResult` that also records where the request was
+    answered: once it resolves, :attr:`stage` is the index of the ladder
+    stage that answered (0 = most pruned) and :attr:`confidence` the
+    request's gate confidence at that stage (``None`` when the final stage
+    answered without being gated).  Both are set before done-callbacks
+    fire.
     """
 
-    __slots__ = (
-        "_event",
-        "_value",
-        "_error",
-        "submitted_at",
-        "latency",
-        "stage",
-        "confidence",
-        "trace_id",
-    )
+    __slots__ = ("stage", "confidence")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
-        self._value: Optional[np.ndarray] = None
-        self._error: Optional[BaseException] = None
-        self.submitted_at = time.perf_counter()
-        self.latency: Optional[float] = None
+        super().__init__()
         self.stage: Optional[int] = None
         self.confidence: Optional[float] = None
-        #: Trace id when a tracer was installed at submit time, else None.
-        self.trace_id: Optional[str] = None
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        """Block until some stage answered; raises the first stage error."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("cascade request did not complete in time")
-        if self._error is not None:
-            raise self._error
-        assert self._value is not None
-        return self._value
 
     def _resolve(
         self,
@@ -165,12 +142,9 @@ class CascadeResult:
         stage: Optional[int] = None,
         confidence: Optional[float] = None,
     ) -> None:
-        self.latency = time.perf_counter() - self.submitted_at
         self.stage = stage
         self.confidence = confidence
-        self._value = value
-        self._error = error
-        self._event.set()
+        super()._resolve(value, error)
 
 
 class _CascadeRequest:
@@ -226,7 +200,6 @@ class CascadeSession:
         self._lock = threading.Lock()
         self._inflight = 0
         self._drained = threading.Condition(self._lock)
-        self._requests = 0
         self._samples = 0
         self._errors = 0
         self._verified = 0
@@ -480,10 +453,11 @@ class CascadeSession:
             with self._lock:
                 self._verified += 1
         with self._lock:
-            self._requests += 1
+            # Counted under the lock, so stats() reads it consistently with
+            # the per-stage counts.
+            self._c_requests.inc()
             self._samples += record.array.shape[0]
             self._accepted[stage_index] += 1
-        self._c_requests.inc()
         if record.ctx is not None and _obs.enabled:
             tracer = _obs.tracer()
             if tracer is not None:
@@ -619,7 +593,7 @@ class CascadeSession:
         with self._lock:
             entered = list(self._entered)
             accepted = list(self._accepted)
-            requests = self._requests
+            requests = int(self._c_requests.value)
             stats: Dict[str, Any] = {
                 "gate": self.gate,
                 "thresholds": list(self.thresholds),
@@ -643,12 +617,7 @@ class CascadeSession:
             stage_rows.append(row)
         stats["stages"] = stage_rows
         # Streaming histogram view (mean/max exact, quantiles estimated).
-        stats["latency_ms"] = {
-            "p50": self._h_latency.percentile(50) * 1e3,
-            "p95": self._h_latency.percentile(95) * 1e3,
-            "mean": self._h_latency.mean() * 1e3,
-            "max": float(self._h_latency.snapshot()["max"]) * 1e3,
-        }
+        stats["latency_ms"] = self._h_latency.summary_ms()
         return stats
 
     def metrics_text(self) -> str:
@@ -658,13 +627,13 @@ class CascadeSession:
     def reset_stats(self) -> None:
         """Zero routing counters and every stage's telemetry."""
         with self._lock:
-            self._requests = 0
             self._samples = 0
             self._errors = 0
             self._verified = 0
             self._entered = [0] * len(self.stages)
             self._accepted = [0] * len(self.stages)
-        for instrument in (self._c_requests, self._c_escalations, self._h_latency):
+            self._c_requests.reset()
+        for instrument in (self._c_escalations, self._h_latency):
             instrument.reset()
         for stage in self.stages:
             stage.reset_stats()

@@ -5,12 +5,11 @@ GIL and BLAS contention, so numpy serving never scales across cores.
 :class:`ProcPoolEngine` is the process-based answer: ``N`` worker
 *processes*, each of which builds its own ``sparse`` engine — compiling
 the :class:`~repro.core.sparse_exec.ExecutionPlan` exactly once at startup,
-from the same model and the same
-:class:`~repro.core.sparse_exec.PlanConfig` with ``batch_invariant=True``
-forced — so every process is a bit-identical replica and which process
-answered a request is unobservable in the response.  Unless the user
-sized the BLAS thread pools, each worker starts with its share of the
-cores as its BLAS thread count, so N workers do not oversubscribe them.
+from the same model — so every process is a bit-identical replica (each
+plan is batch-invariant by construction) and which process answered a
+request is unobservable in the response.  Unless the user sized the BLAS
+thread pools, each worker starts with its share of the cores as its BLAS
+thread count, so N workers do not oversubscribe them.
 
 Transport is a preallocated :mod:`multiprocessing.shared_memory` slot
 ring, in the same spirit as the kernel layer's
@@ -43,7 +42,6 @@ workers.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import threading
 import time
@@ -54,7 +52,6 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.engine import EngineProtocol, create_engine
-from ..core.sparse_exec import PlanConfig
 from ..obs import runtime as _obs
 from ..obs.trace import TraceContext, Tracer
 
@@ -113,11 +110,10 @@ def _blas_thread_budget(proc_workers: int) -> Optional[int]:
 def _build_worker_engine(spec: Dict[str, Any]) -> EngineProtocol:
     """Compile this process's engine replica from the shared spec.
 
-    The model arrives pickled through the spawn args.
-    ``batch_invariant=True`` was forced into ``spec["config"]`` by the
-    builder, so every replica compiles the identical plan.
+    The model arrives pickled through the spawn args, so every replica
+    compiles the identical plan.
     """
-    engine = create_engine(spec["model"], backend="sparse", config=spec["config"])
+    engine = create_engine(spec["model"], backend="sparse")
     if spec.get("profile"):
         # Opt-in per-op profiling: the worker's plan records per-geometry
         # wall time + bytes moved, reported home via the ("stats",) round
@@ -297,11 +293,6 @@ class ProcPoolEngine(EngineProtocol):
     ----------
     model:
         Model (or instrumentation handle) every worker compiles.
-    config:
-        :class:`PlanConfig` for the workers' plans.  ``batch_invariant``
-        is forced on — the pool exists to serve, and served responses
-        must not depend on batch composition *or* on which process ran
-        them.
     proc_workers:
         Worker process count.  Each worker builds a ``sparse`` engine.
     slot_mb:
@@ -323,20 +314,13 @@ class ProcPoolEngine(EngineProtocol):
     def __init__(
         self,
         model: object,
-        config: Optional[PlanConfig] = None,
         proc_workers: int = 2,
         slot_mb: float = 8.0,
         profile: bool = False,
     ):
         if proc_workers < 1:
             raise ValueError("proc_workers must be >= 1")
-        config = dataclasses.replace(config or PlanConfig(), batch_invariant=True)
-        self._spec: Dict[str, Any] = {
-            "model": model,
-            "config": config,
-            "profile": profile,
-        }
-        self.plan_config = config
+        self._spec: Dict[str, Any] = {"model": model, "profile": profile}
         self.proc_workers = proc_workers
         self._ctx = get_context("spawn")
         slot_bytes = max(int(slot_mb * (1 << 20)), 1 << 16)

@@ -23,11 +23,13 @@ names a registered architecture family (``vgg``, ``resnet``,
 ``conv_stack``) with its constructor arguments; ``pruning`` records every
 :class:`~repro.core.pruning.DynamicPruning` site (path, ratios, criterion,
 mask mode, threshold, granularity) so the loaded model is re-instrumented
-exactly; ``plan`` carries the :class:`~repro.core.sparse_exec.PlanConfig`
-knobs the artifact was validated with.  Manifests saved by older
-versions may also carry a ``dispatch`` block (a measured per-geometry
-strategy table) and a ``content.dispatch_sha256``; :meth:`ModelRegistry.load`
-ignores both, since execution no longer reads them.
+exactly; ``plan`` is written from a default
+:class:`~repro.core.sparse_exec.PlanConfig`, which no plan reads any more
+(``load`` still parses it into :attr:`LoadedArtifact.plan_config`).
+Manifests saved by older versions may also carry a ``dispatch`` block (a
+measured per-geometry strategy table) and a ``content.dispatch_sha256``;
+:meth:`ModelRegistry.load` ignores both, since execution no longer reads
+them.
 
 Writes are atomic (temp directory + ``os.replace``), so a crashed save
 never leaves a half-registered version.
@@ -248,7 +250,9 @@ class LoadedArtifact:
 
     ``handle`` is the re-instrumented pruning handle (``None`` for models
     saved without pruning sites); ``model`` is the module to execute —
-    pruners, when present, already live inside its graph.
+    pruners, when present, already live inside its graph.  ``plan_config``
+    is the manifest's ``plan`` block, which nothing reads (see
+    :class:`~repro.core.sparse_exec.PlanConfig`).
     """
 
     name: str
@@ -547,7 +551,6 @@ class ModelRegistry:
         model: object,
         *,
         arch: Optional[Dict[str, Any]] = None,
-        plan: Optional[PlanConfig] = None,
         metadata: Optional[Dict[str, Any]] = None,
         family: Optional[str] = None,
         sparsity_level: Optional[float] = None,
@@ -590,7 +593,7 @@ class ModelRegistry:
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "arch": arch if arch is not None else infer_arch(module),
             "pruning": _pruning_spec(handle) if handle is not None else None,
-            "plan": dataclasses.asdict(plan or PlanConfig()),
+            "plan": dataclasses.asdict(PlanConfig()),
             "metadata": metadata,
         }
 

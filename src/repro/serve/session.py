@@ -27,12 +27,13 @@ Scheduling model (three knobs):
   executes a window is invisible in the responses — the
   batch-invariance contract below covers it.
 
-Correctness contract: sessions compile their engine with
-``PlanConfig(batch_invariant=True)`` by default, so the response to a
-request is **bit-identical** no matter which other requests shared its
-window (see :attr:`repro.core.sparse_exec.PlanConfig.batch_invariant`).
-Batch composition is an invisible scheduling detail, exactly as a serving
-API must guarantee.
+Correctness contract: on a plan-backed engine (``sparse``, ``auto``,
+``procpool``) the response to a request is **bit-identical** no matter
+which other requests shared its window, because every compiled op is
+batch-invariant by construction.  Batch composition is an invisible
+scheduling detail, exactly as a serving API must guarantee.  Two
+exceptions: the ``dense`` backend, whose GEMMs are flat BLAS calls, and
+``granularity="batch"`` pruning sites, whose mask is the window's union.
 
 Telemetry: every session registers its counters and a streaming latency
 histogram in the process-wide :func:`repro.obs.global_registry` (series
@@ -60,7 +61,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.engine import EngineProtocol, create_engine
-from ..core.sparse_exec import PlanConfig
 from ..obs import runtime as _obs
 from ..obs.metrics import global_registry
 
@@ -305,19 +305,11 @@ class InferenceSession:
         cls,
         model: object,
         backend: str = "auto",
-        plan: Optional[PlanConfig] = None,
         session: Optional[SessionConfig] = None,
         **engine_kwargs: Any,
     ) -> "InferenceSession":
-        """Compile ``model`` into an engine and wrap it in a session.
-
-        Unless a :class:`PlanConfig` is given, the plan is compiled with
-        ``batch_invariant=True`` so micro-batching is unobservable in the
-        responses (the serving contract).
-        """
-        if plan is None:
-            plan = PlanConfig(batch_invariant=True)
-        engine = create_engine(model, backend=backend, config=plan, **engine_kwargs)
+        """Compile ``model`` into an engine and wrap it in a session."""
+        engine = create_engine(model, backend=backend, **engine_kwargs)
         built = cls(engine, session)
         built._owns_engine = True
         return built
@@ -333,10 +325,6 @@ class InferenceSession:
     ) -> "InferenceSession":
         """Load ``name`` or ``name@vN`` from a ModelRegistry and serve it.
 
-        The artifact's recorded :class:`PlanConfig` is used, with
-        ``batch_invariant`` forced on — registry artifacts are served, and
-        served responses must not depend on batch composition.
-
         The served version is **pinned** against ``registry gc`` for the
         session's lifetime (released on :meth:`close`), so automated
         retention can never collect a version with live traffic.
@@ -345,9 +333,8 @@ class InferenceSession:
 
         name, version = parse_ref(ref)
         artifact = registry.load(name, version)
-        plan = dataclasses.replace(artifact.plan_config, batch_invariant=True)
         model = artifact.handle if artifact.handle is not None else artifact.model
-        engine = create_engine(model, backend=backend, config=plan, **engine_kwargs)
+        engine = create_engine(model, backend=backend, **engine_kwargs)
         built = cls(engine, session)
         built._owns_engine = True
         pin = getattr(registry, "pin", None)
@@ -680,12 +667,7 @@ class InferenceSession:
                 else 0.0
             ),
         }
-        stats["latency_ms"] = {
-            "p50": self._h_latency.percentile(50) * 1e3,
-            "p95": self._h_latency.percentile(95) * 1e3,
-            "mean": self._h_latency.mean() * 1e3,
-            "max": float(self._h_latency.snapshot()["max"]) * 1e3,
-        }
+        stats["latency_ms"] = self._h_latency.summary_ms()
         stats["engine"] = self.engine.stats()
         return stats
 

@@ -16,11 +16,11 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.core.sparse_exec import PlanConfig
 from repro.models import build_conv_stack
 from repro.nn.functional import predictive_entropy, softmax_probs, top2_margin
 from repro.serve import (
@@ -30,6 +30,7 @@ from repro.serve import (
     GATES,
     InferenceSession,
     ModelRegistry,
+    PendingResult,
     SessionClosed,
     SessionConfig,
     gate_confidence,
@@ -70,7 +71,6 @@ def family_registry(root, name_prefix="fam", family="demo", ratios=(0.7, 0.0), s
             f"{name_prefix}-r{int(round(ratio * 100)):02d}",
             stack,
             arch=arch,
-            plan=PlanConfig(batch_invariant=True),
             family=family,
             sparsity_level=ratio,
         )
@@ -199,6 +199,28 @@ class TestCascadeRouting:
         finally:
             cascade.close()
             stage.close()
+
+    def test_done_callback_sees_the_answering_stage(self):
+        stages = [stage_session(0.7, seed=0), stage_session(0.0, seed=1)]
+        cascade = CascadeSession(stages)
+        try:
+            handle = cascade.submit(make_requests(1, seed=7)[0])
+            assert isinstance(handle, PendingResult)
+            seen = []
+            fired = threading.Event()
+
+            def callback(result):
+                seen.append((result.stage, result.result(0).shape))
+                fired.set()
+
+            handle.add_done_callback(callback)
+            assert fired.wait(30.0)
+            # Default thresholds escalate everything to the final stage.
+            assert seen == [(1, (1, 10))]
+        finally:
+            cascade.close()
+            for stage in stages:
+                stage.close()
 
     def _mixed_threshold(self, stage, requests, gate="msp"):
         """A threshold splitting these requests into accept and escalate."""

@@ -2,8 +2,8 @@
 
 The pool's load-bearing contract mirrors the session's: which *process*
 answered a request must be unobservable in the response.  Every replica
-compiles the same plan with ``batch_invariant=True`` forced, so the pool
-output is byte-for-byte the local engine's output — and that has to
+compiles the same batch-invariant plan, so the pool output is
+byte-for-byte the local engine's output — and that has to
 survive a worker being killed and respawned mid-stream.
 
 Worker processes spawn (not fork), so each module-scoped pool costs
@@ -17,7 +17,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.sparse_exec import PlanConfig
 from repro.models import build_conv_stack
 from repro.nn import AvgPool2d, Sequential
 from repro.serve.procpool import BLAS_THREAD_ENV
@@ -46,9 +45,7 @@ def stack_model():
 
 @pytest.fixture(scope="module")
 def local_engine(stack_model):
-    return create_engine(
-        stack_model, "sparse", config=PlanConfig(batch_invariant=True)
-    )
+    return create_engine(stack_model, "sparse")
 
 
 @pytest.fixture(scope="module")
@@ -66,18 +63,6 @@ class TestProcPoolBasics:
         assert pool.backend == "procpool"
         assert pool.thread_safe
         assert "2 processes" in pool.describe()
-
-    def test_batch_invariant_forced(self, stack_model):
-        engine = create_engine(
-            stack_model,
-            backend="procpool",
-            proc_workers=1,
-            config=PlanConfig(batch_invariant=False),
-        )
-        try:
-            assert engine.plan_config.batch_invariant is True
-        finally:
-            engine.close()
 
     def test_bit_identical_to_local_engine(self, pool, local_engine):
         for x in make_requests(6, seed=1):
@@ -181,9 +166,7 @@ class TestProcPoolLifecycle:
         engine = create_engine(
             stack_model, backend="procpool", proc_workers=2, slot_mb=2.0
         )
-        oracle = create_engine(
-            stack_model, "sparse", config=PlanConfig(batch_invariant=True)
-        )
+        oracle = create_engine(stack_model, "sparse")
         try:
             x = make_requests(1, seed=8)[0]
             np.testing.assert_array_equal(engine(x), oracle(x))
@@ -215,9 +198,7 @@ class TestProcPoolLifecycle:
         engine = create_engine(
             stack_model, backend="procpool", proc_workers=1, slot_mb=2.0
         )
-        oracle = create_engine(
-            stack_model, "sparse", config=PlanConfig(batch_invariant=True)
-        )
+        oracle = create_engine(stack_model, "sparse")
         try:
             import threading
 

@@ -29,7 +29,7 @@ from repro.core.masks import (
     threshold_mask,
 )
 from repro.core.pruning import DynamicPruning, PruningConfig, instrument_model
-from repro.core.sparse_exec import PlanConfig, sparse_conv2d
+from repro.core.sparse_exec import sparse_conv2d
 from repro.models import build_conv_stack
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
@@ -267,7 +267,7 @@ class TestRaggedBitIdentity:
 class TestThresholdModePlans:
     def test_ragged_dispatch_engages_for_threshold_sites(self, rng):
         stack = threshold_stack()
-        executor = SparseEngine(stack, PlanConfig(batch_invariant=True))
+        executor = SparseEngine(stack)
         x = rng.normal(size=(6, 3, 12, 12)).astype(np.float32)
         out, kinds = channel_kinds(executor, x)
         assert kinds == {"ragged"}
@@ -276,7 +276,7 @@ class TestThresholdModePlans:
 
     def test_plan_outputs_bit_identical_per_request(self, rng):
         stack = threshold_stack()
-        executor = SparseEngine(stack, PlanConfig(batch_invariant=True))
+        executor = SparseEngine(stack)
         x = rng.normal(size=(5, 3, 12, 12)).astype(np.float32)
         batched = executor(x)
         for i in range(5):
@@ -291,7 +291,7 @@ class TestThresholdModePlans:
         # (The dense reference is not the oracle here — column skipping
         # intentionally leaves dropped positions zero, Sec. III-B.)
         stack = threshold_stack(spatial=True)
-        executor = SparseEngine(stack, PlanConfig(batch_invariant=True))
+        executor = SparseEngine(stack)
         x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
         out = executor(x)
         assert executor.plan.dispatch_counts["ragged_spatial"] > 0
@@ -328,7 +328,7 @@ class TestThresholdModePlans:
             if isinstance(m, BatchNorm2d):
                 m.running_mean += gen.normal(size=m.num_features).astype(np.float32) * 0.1
                 m.running_var += np.abs(gen.normal(size=m.num_features)).astype(np.float32) * 0.1
-        executor = SparseEngine(model, PlanConfig(batch_invariant=True))
+        executor = SparseEngine(model)
         x = rng.normal(size=(4, 3, 16, 16)).astype(np.float32)
         out, kinds = channel_kinds(executor, x)
         assert kinds == {"ragged"}
@@ -391,9 +391,7 @@ class TestAdaptiveServing:
         from repro.serve import InferenceSession, SessionConfig
 
         stack = threshold_stack()
-        engine = create_engine(
-            stack, backend="sparse", config=PlanConfig(batch_invariant=True)
-        )
+        engine = create_engine(stack, backend="sparse")
         requests = [
             rng.normal(size=(1, 3, 12, 12)).astype(np.float32) for _ in range(12)
         ]
@@ -412,9 +410,7 @@ class TestAdaptiveServing:
         from repro.serve import InferenceSession, SessionConfig
 
         stack = threshold_stack(threshold=0.5)
-        engine = create_engine(
-            stack, backend="sparse", config=PlanConfig(batch_invariant=True)
-        )
+        engine = create_engine(stack, backend="sparse")
         rng = np.random.default_rng(0)
         # Their first sites keep 12, 8 and 16 of 16 channels (rounded to
         # the quantum): windows that split by that count would need three.

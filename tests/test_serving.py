@@ -26,7 +26,6 @@ from repro.serve import (
     SparseEngine,
     available_backends,
     create_engine,
-    model_sparsity,
     parse_ref,
 )
 
@@ -69,10 +68,14 @@ class TestEngineFactory:
         assert isinstance(create_engine(slim_resnet_handle().model, "sparse"), SparseEngine)
 
     def test_auto_dispatches_on_sparsity(self):
-        pruned = build_conv_stack(0.6)
-        unpruned = build_conv_stack(0.0)
-        assert isinstance(create_engine(pruned, "auto"), SparseEngine)
-        assert isinstance(create_engine(unpruned, "auto"), DenseEngine)
+        # auto compiles the plan whatever the pruning ratios: an unpruned
+        # model gets it too, since the dense forward cannot honor the
+        # bit-exactness contract.  A PlanConfig is accepted and ignored.
+        for ratio in (0.6, 0.0):
+            stack = build_conv_stack(ratio)
+            assert isinstance(create_engine(stack, "auto"), SparseEngine)
+            engine = create_engine(stack, "auto", config=PlanConfig(batch_invariant=False))
+            assert isinstance(engine, SparseEngine)
 
     def test_auto_mistyped_keyword_raises_sparse_engines_error(self):
         with pytest.raises(TypeError, match="bogus") as excinfo:
@@ -82,26 +85,24 @@ class TestEngineFactory:
         assert excinfo.value.__context__ is None
 
     def test_auto_propagates_plain_type_error_from_compilation(self, monkeypatch):
-        def broken(cls, layers, config=None):
+        def broken(cls, layers):
             raise TypeError("bug while compiling")
 
         monkeypatch.setattr(ExecutionPlan, "compile", classmethod(broken))
-        for config in (None, PlanConfig(batch_invariant=True)):
-            with pytest.raises(TypeError, match="bug while compiling"):
-                create_engine(build_conv_stack(0.6), "auto", config=config)
+        with pytest.raises(TypeError, match="bug while compiling"):
+            create_engine(build_conv_stack(0.6), "auto")
 
     def test_auto_falls_back_to_dense_on_unsupported_graph(self):
         layers = list(build_conv_stack(0.6, width=8, depth=3))
         stack = Sequential(*layers[:4], AvgPool2d(2), *layers[4:])
-        for config in (None, PlanConfig(batch_invariant=True)):
-            assert isinstance(create_engine(stack, "auto", config=config), DenseEngine)
+        assert isinstance(create_engine(stack, "auto"), DenseEngine)
 
     def test_auto_compiles_a_stack_holding_an_identity(self):
         # The plan compiler skips Identity layers, so such a stack serves
         # on the batch-invariant sparse engine, not the dense fallback.
         layers = list(build_conv_stack(0.5, width=8, depth=2))
         stack = Sequential(layers[0], Identity(), *layers[1:])
-        engine = create_engine(stack, "auto", config=PlanConfig(batch_invariant=True))
+        engine = create_engine(stack, "auto")
         assert isinstance(engine, SparseEngine)
         requests = make_requests(6, image_size=16, seed=13)
         reference = [engine(r) for r in requests]
@@ -112,10 +113,6 @@ class TestEngineFactory:
             outputs = session.infer_many(requests)
         for out, ref in zip(outputs, reference):
             np.testing.assert_array_equal(out, ref)
-
-    def test_model_sparsity_reads_active_sites(self):
-        assert model_sparsity(build_conv_stack(0.0)) == 0.0
-        assert model_sparsity(build_conv_stack(0.7)) == pytest.approx(0.7)
 
     def test_stats_and_reset(self):
         engine = create_engine(build_conv_stack(0.5), "sparse")
@@ -192,15 +189,14 @@ class TestModelRegistry:
 
     def test_vgg_roundtrip_outputs_identical(self, tmp_path):
         handle = slim_vgg_handle()
-        config = PlanConfig(batch_invariant=True)
-        reference_engine = create_engine(handle, "sparse", config=config)
+        reference_engine = create_engine(handle, "sparse")
         requests = make_requests(6, seed=2)
         reference = [reference_engine(r) for r in requests]
 
         registry = ModelRegistry(str(tmp_path))
         registry.save("vgg", handle)
         artifact = registry.load("vgg")
-        loaded_engine = create_engine(artifact.handle, "sparse", config=config)
+        loaded_engine = create_engine(artifact.handle, "sparse")
         for req, ref in zip(requests, reference):
             np.testing.assert_array_equal(loaded_engine(req), ref)
 
@@ -209,15 +205,14 @@ class TestModelRegistry:
         # Widths off the x16 grid (0.3 gives groups 5/10/19) must rebuild
         # at the width they were saved with, not one read off the stem.
         handle = slim_resnet_handle(width=width)
-        config = PlanConfig(batch_invariant=True)
-        reference_engine = create_engine(handle, "sparse", config=config)
+        reference_engine = create_engine(handle, "sparse")
         requests = make_requests(6, seed=4)
         reference = [reference_engine(r) for r in requests]
 
         registry = ModelRegistry(str(tmp_path))
         registry.save("rn", handle)
         artifact = registry.load("rn")
-        loaded_engine = create_engine(artifact.handle, "sparse", config=config)
+        loaded_engine = create_engine(artifact.handle, "sparse")
         for req, ref in zip(requests, reference):
             np.testing.assert_array_equal(loaded_engine(req), ref)
 
@@ -247,11 +242,10 @@ class TestModelRegistry:
             arch={"family": "conv_stack", "channel_ratio": 0.5, "width": 16, "depth": 3},
         )
         artifact = registry.load("stack")
-        config = PlanConfig(batch_invariant=True)
         request = make_requests(1, seed=5)[0]
         np.testing.assert_array_equal(
-            create_engine(artifact.model, "sparse", config=config)(request),
-            create_engine(stack, "sparse", config=config)(request),
+            create_engine(artifact.model, "sparse")(request),
+            create_engine(stack, "sparse")(request),
         )
 
 
@@ -538,7 +532,7 @@ class TestLegacyDispatch:
 class TestInferenceSession:
     def test_micro_batched_outputs_bit_identical(self):
         stack = build_conv_stack(0.6, width=16, depth=3)
-        engine = create_engine(stack, "sparse", config=PlanConfig(batch_invariant=True))
+        engine = create_engine(stack, "sparse")
         requests = make_requests(12, image_size=16, seed=6)
         reference = [engine(r) for r in requests]
         with InferenceSession(
@@ -551,7 +545,7 @@ class TestInferenceSession:
     def test_registry_session_matches_original_executor(self, tmp_path):
         handle = slim_vgg_handle()
         executor_out = [
-            create_engine(handle, "sparse", config=PlanConfig(batch_invariant=True))(r)
+            create_engine(handle, "sparse")(r)
             for r in make_requests(5, seed=8)
         ]
         registry = ModelRegistry(str(tmp_path))
@@ -639,16 +633,6 @@ class TestInferenceSession:
             ok = session.infer(np.zeros((3, 16, 16), dtype=np.float32), timeout=10.0)
             assert ok.shape == (1, 10)
 
-    def test_auto_backend_honors_batch_invariant_contract(self):
-        from repro.core.sparse_exec import PlanConfig as PC
-
-        engine = create_engine(
-            build_conv_stack(0.0), "auto", config=PC(batch_invariant=True)
-        )
-        # An unpruned model still gets the plan-backed engine, because the
-        # dense forward cannot honor the bit-exactness contract.
-        assert isinstance(engine, SparseEngine)
-
     def test_engine_error_surfaces_per_request(self):
         with InferenceSession.from_model(
             build_conv_stack(0.5, width=16, depth=3), backend="sparse",
@@ -725,9 +709,7 @@ class TestMultiWorkerSession:
             ("resnet", slim_resnet_handle(), 32),
         ]
         for name, model, image_size in subjects:
-            engine = create_engine(
-                model, "sparse", config=PlanConfig(batch_invariant=True)
-            )
+            engine = create_engine(model, "sparse")
             assert engine.thread_safe
             requests = make_requests(24, image_size=image_size, seed=21)
             reference = [engine(r) for r in requests]
@@ -747,7 +729,7 @@ class TestMultiWorkerSession:
 
         stack = build_conv_stack(0.6, width=16, depth=3)
         requests = make_requests(30, image_size=16, seed=22)
-        engine = create_engine(stack, "sparse", config=PlanConfig(batch_invariant=True))
+        engine = create_engine(stack, "sparse")
         reference = [engine(r) for r in requests]
         results: dict = {}
         with InferenceSession(
@@ -917,11 +899,7 @@ class _SlowEngine:
 
 def _stopped_session(config):
     """A session whose worker has exited, for driving _collect by hand."""
-    engine = create_engine(
-        build_conv_stack(0.5, width=16, depth=3),
-        "sparse",
-        config=PlanConfig(batch_invariant=True),
-    )
+    engine = create_engine(build_conv_stack(0.5, width=16, depth=3), "sparse")
     session = InferenceSession(engine, config)
     session.close()
     session._queue = queue.Queue()  # fresh queue, no shutdown sentinels
@@ -961,11 +939,7 @@ class TestResultMemoryIndependence:
         output, so one caller keeping its logits alive pinned every other
         caller's logits (and the whole base array) in memory.
         """
-        engine = create_engine(
-            build_conv_stack(0.5, width=16, depth=3),
-            "sparse",
-            config=PlanConfig(batch_invariant=True),
-        )
+        engine = create_engine(build_conv_stack(0.5, width=16, depth=3), "sparse")
         with InferenceSession(
             engine,
             SessionConfig(max_batch=4, batch_window_ms=100.0, workers=1),

@@ -7,18 +7,18 @@ Contract under test (see ``repro/core/sparse_exec.py``):
   samples sharing one mask, all distinct, and mixed);
 * degenerate masks behave by the paper's skip semantics — an all-dropped
   channel set or an empty spatial mask yields exact zeros, not bias;
-* the plan's dense fast path is a pure optimization: it never changes
-  the computed values.
+* a compiled plan's answers ignore batch composition, bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import sparse_exec
 from repro.core.engine import SparseEngine, create_engine
 from repro.core.pruning import DynamicPruning, PruningConfig, instrument_model
-from repro.core.sparse_exec import ExecutionPlan, PlanConfig, sparse_conv2d
+from repro.baselines.dynamic import instrument_with_gates
+from repro.core.sparse_exec import ExecutionPlan, sparse_conv2d
 from repro.models import build_conv_stack
+from repro.models.vgg import VGG, VGG16_BLOCKS
 from repro.nn import BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, ReLU, Sequential, Tensor
 from repro.nn import functional as F
 
@@ -163,22 +163,6 @@ class TestExecutionPlan:
         assert "_BNOp" not in ops and "_ReLUOp" not in ops
         assert "ConvOp" in plan.describe()
 
-    def test_dense_fast_path_matches_sparse_path(self, rng, monkeypatch):
-        stack = pruned_stack(channel_ratio=0.4, spatial_ratio=0.4)
-        x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
-        monkeypatch.setattr(sparse_exec, "DENSE_THRESHOLD", 0.0)
-        always_sparse = SparseEngine(stack)
-        out_sparse = always_sparse(x)
-        monkeypatch.setattr(sparse_exec, "DENSE_THRESHOLD", 1.0)
-        always_dense = SparseEngine(stack)
-        out_dense = always_dense(x)
-        np.testing.assert_allclose(out_sparse, out_dense, rtol=1e-3, atol=1e-5)
-        # Top-k column sites run the kept-position bucketed kernel.
-        assert always_sparse.plan.dispatch_counts["ragged_spatial"] > 0
-        dense_counts = always_dense.plan.dispatch_counts
-        assert dense_counts["channel"] == dense_counts["ragged_spatial"] == 0
-        assert dense_counts["dense"] > 0
-
     def test_batch_granularity_collapses_to_one_group(self, rng):
         stack = pruned_stack(granularity="batch")
         executor = SparseEngine(stack)
@@ -253,12 +237,32 @@ class TestWorkspaceReuse:
         np.testing.assert_array_equal(first, bare)
 
 
+def vgg_topk_columns():
+    """Top-k column sites with a ``MaxPool`` between a site and its conv.
+
+    The pool ORs the spatial mask, so kept counts differ per sample even
+    under top-k.
+    """
+    model = VGG(((2, 16), (2, 32), (2, 32)), seed=3)
+    model.eval()
+    return instrument_model(model, PruningConfig([0.0] * 3, [0.6] * 3))
+
+
+def fbs_gated_vgg16():
+    """VGG16 with FBS gates, whose saliency predictor spans the window."""
+    model = VGG(VGG16_BLOCKS, width_multiplier=0.25, seed=5)
+    model.eval()
+    return instrument_with_gates(model, [0.3, 0.3, 0.6, 0.7, 0.7], seed=1)
+
+
 class TestPerSampleBitIdentity:
     """Batch composition must be unobservable, bit for bit.
 
-    The channel kernel runs every GEMM as fixed-shape per-sample slices,
-    so this holds for equal and mixed kept counts, at any map size —
-    with or without ``batch_invariant``.
+    Every compiled op is batch-invariant by construction: the conv
+    kernels run fixed-shape per-sample GEMM slices, and the classifier
+    head and the FBS saliency predictor a fixed-order ``einsum``.  So this
+    holds for equal and mixed kept counts, at any map size, on every
+    model the plan compiles.
     """
 
     def test_distinct_equal_count_masks_match_per_sample_exactly(self, rng):
@@ -292,11 +296,34 @@ class TestPerSampleBitIdentity:
 
     def test_plan_outputs_ignore_batch_composition(self, rng):
         stack = pruned_stack(granularity="input")
-        executor = SparseEngine(stack, PlanConfig(batch_invariant=True))
+        executor = SparseEngine(stack)
         x = rng.normal(size=(5, 3, 10, 10)).astype(np.float32)
         batched = executor(x)
         for i in range(5):
             np.testing.assert_array_equal(executor(x[i : i + 1]), batched[i : i + 1])
+
+    @pytest.mark.parametrize("build", [vgg_topk_columns, fbs_gated_vgg16])
+    def test_model_outputs_ignore_batch_composition(self, build):
+        executor = SparseEngine(build())
+        x = np.random.default_rng(7).normal(size=(16, 3, 32, 32)).astype(np.float32)
+        for start in (0, 8):
+            batched = executor(x[start : start + 8])
+            for i in range(8):
+                single = executor(x[start + i : start + i + 1])
+                np.testing.assert_array_equal(single, batched[i : i + 1])
+
+    def test_lightly_pruned_site_runs_the_channel_kernel(self):
+        # 57 of 64 channels kept: the site runs the channel kernel like any
+        # other mask, and the plan still matches the dense forward.
+        stack = build_conv_stack(0.1)
+        engine = create_engine(stack, "sparse")
+        x = np.random.default_rng(7).normal(size=(8, 3, 16, 16)).astype(np.float32)
+        batched = engine(x)
+        assert engine.stats()["dispatch"] == {"channel": 3, "ragged_spatial": 0, "dense": 1}
+        dense = create_engine(stack, "dense")(x)
+        np.testing.assert_allclose(batched, dense, rtol=1e-3, atol=1e-5)
+        for i in range(8):
+            np.testing.assert_array_equal(engine(x[i : i + 1]), batched[i : i + 1])
 
 
 # ----------------------------------------------------------------------
@@ -304,9 +331,7 @@ class TestPerSampleBitIdentity:
 # ----------------------------------------------------------------------
 def test_dispatch_counters_count_every_conv_call(rng):
     stack = build_conv_stack(0.5, width=16, depth=3, seed=0)
-    engine = create_engine(
-        stack, backend="sparse", config=PlanConfig(batch_invariant=True)
-    )
+    engine = create_engine(stack, backend="sparse")
     engine(rng.normal(size=(4, 3, 16, 16)).astype(np.float32))
     counts = engine.stats()["dispatch"]
     assert set(counts) == {"channel", "ragged_spatial", "dense"}

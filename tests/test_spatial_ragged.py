@@ -30,7 +30,7 @@ import pytest
 from repro.baselines.dynamic import FBSGate
 from repro.core.engine import create_engine
 from repro.core.pruning import DynamicPruning, pooled_keep_fraction
-from repro.core.sparse_exec import PlanConfig, output_keep_grid, sparse_conv2d
+from repro.core.sparse_exec import output_keep_grid, sparse_conv2d
 from repro.models import build_conv_stack
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
@@ -284,9 +284,7 @@ class TestOutputKeepGrid:
 class TestSpatialServing:
     def test_threaded_session_bit_identical_with_counters(self, rng):
         stack, _ = _spatial_threshold_stack(0.5, 16, width=16, depth=3, seed=0)
-        engine = create_engine(
-            stack, backend="sparse", config=PlanConfig(batch_invariant=True)
-        )
+        engine = create_engine(stack, backend="sparse")
         requests = [
             rng.normal(size=(1, 3, 16, 16)).astype(np.float32) for _ in range(10)
         ]
@@ -332,9 +330,7 @@ class TestTopkColumns:
     def test_dispatched_kernel(self, rng):
         # Fixed top-k column sites run the kept-position bucketed kernel.
         stack = build_conv_stack(0.4, spatial_ratio=0.5, width=8, depth=3, seed=0)
-        engine = create_engine(
-            stack, backend="sparse", config=PlanConfig(batch_invariant=True)
-        )
+        engine = create_engine(stack, backend="sparse")
         engine(rng.normal(size=(4, 3, 12, 12)).astype(np.float32))
         assert engine.stats()["dispatch"]["ragged_spatial"] > 0
 
